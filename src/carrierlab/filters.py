@@ -49,13 +49,20 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
             "cutoff_hz + transition_hz must stay below half the sample rate "
             f"({spec.cutoff_hz} + {spec.transition_hz} vs {sample_rate_hz / 2})"
         )
+    numtaps, beta = kaiser_order(spec, sample_rate_hz)
+    return _sig.firwin(numtaps, spec.cutoff_hz, window=("kaiser", beta), fs=sample_rate_hz)
+
+
+def kaiser_order(spec: FilterSpec, sample_rate_hz: float) -> tuple[int, float]:
+    """Tap count and Kaiser beta of the design for ``spec``; raises ValueError
+    when the count exceeds ``MAX_TAPS``."""
     numtaps, beta = _sig.kaiserord(spec.stopband_atten_db, spec.transition_hz / (sample_rate_hz / 2))
     numtaps |= 1  # odd length -> integer group delay
     if numtaps > MAX_TAPS:
         raise ValueError(
             f"transition band too narrow: design needs {numtaps} taps, cap is {MAX_TAPS}"
         )
-    return _sig.firwin(numtaps, spec.cutoff_hz, window=("kaiser", beta), fs=sample_rate_hz)
+    return numtaps, beta
 
 
 def apply_filter(s: ComplexSignal, taps: np.ndarray) -> ComplexSignal:

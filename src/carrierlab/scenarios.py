@@ -12,8 +12,10 @@ byte-identical artifacts and report on repeat runs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .complexcarrier import (
     dual_modulate,
     evm_db,
 )
-from .filters import FilterSpec, design_lowpass
+from .filters import FilterSpec, design_lowpass, kaiser_order
 from .polarization import (
     ChannelConfig,
     Handedness,
@@ -37,7 +39,8 @@ from .polarization import (
     transmit,
 )
 from .realcarrier import real_demodulate, real_modulate
-from .sigio import fmt, pair_csv_text, signal_csv_text, spectrum_csv_text, taps_csv_text
+from . import sigio
+from .sigio import fmt
 from .signals import (
     CarrierConfig,
     ComplexSignal,
@@ -49,7 +52,7 @@ from .signals import (
     oscillator,
     real_part,
 )
-from .spectrum import band_report, conj_mirror_correlation, conj_mirror_error, dft_two_sided, peak_frequency
+from .spectrum import Spectrum, band_report, conj_mirror_correlation, conj_mirror_error, dft_two_sided, peak_frequency
 
 SCENARIOS = (
     "fig4",
@@ -128,6 +131,9 @@ class ScenarioConfig:
         """Raise ValueError naming the first violated invariant."""
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; see `carrierlab list`")
+        for f in fields(self):
+            if f.name in _FLOAT_FIELDS and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
@@ -152,6 +158,7 @@ class ScenarioConfig:
         spec = self.filter_spec()  # FilterSpec invariants
         if spec.cutoff_hz + spec.transition_hz >= self.sample_rate_hz / 2:
             raise ValueError("cutoff_hz + transition_hz must stay below half the sample rate")
+        kaiser_order(spec, self.sample_rate_hz)  # filter length within MAX_TAPS
         self.channel_config()  # ChannelConfig invariants
         if self.seed < 0 or self.channel_seed < 0:
             raise ValueError("seeds must be nonnegative")
@@ -325,10 +332,14 @@ def _max_diff(a: ComplexSignal, b: ComplexSignal) -> float:
     return float(np.max(np.abs(a.samples - b.samples)))
 
 
+def _spectrum(x: ComplexSignal) -> tuple[str, Spectrum]:
+    """The spectrum artifact of ``x``."""
+    return "spectrum", dft_two_sided(x)
+
+
 def _build_fig4(cfg: ScenarioConfig):
     bb = _make_baseband(cfg, cfg.seed)
     pb = real_modulate(bb, CarrierConfig(cfg.f_c_hz))
-    sp_bb = dft_two_sided(bb)
     sp_pb = dft_two_sided(pb)
     report = band_report(sp_pb)
     mirror_err = conj_mirror_error(sp_pb)
@@ -344,8 +355,8 @@ def _build_fig4(cfg: ScenarioConfig):
         _check_below("conj_mirror_error", mirror_err, 1e-9),
     ]
     artifacts = {
-        "spectrum_baseband.csv": spectrum_csv_text(sp_bb),
-        "spectrum_passband.csv": spectrum_csv_text(sp_pb),
+        "spectrum_baseband.csv": _spectrum(bb),
+        "spectrum_passband.csv": ("spectrum", sp_pb),
     }
     return metrics, verdicts, artifacts
 
@@ -378,11 +389,11 @@ def _build_fig5(cfg: ScenarioConfig):
         _check_below("conjugate_path_err", conj_err, 1e-9),
     ]
     artifacts = {
-        "spectrum_passband.csv": spectrum_csv_text(dft_two_sided(pb)),
-        "spectrum_mixed_prefilter.csv": spectrum_csv_text(dft_two_sided(mixed)),
-        "spectrum_recovered.csv": spectrum_csv_text(dft_two_sided(recovered)),
-        "signal_recovered.csv": signal_csv_text(recovered),
-        "filter_taps.csv": taps_csv_text(taps),
+        "spectrum_passband.csv": _spectrum(pb),
+        "spectrum_mixed_prefilter.csv": _spectrum(mixed),
+        "spectrum_recovered.csv": _spectrum(recovered),
+        "signal_recovered.csv": ("signal", recovered),
+        "filter_taps.csv": ("taps", taps),
     }
     return metrics, verdicts, artifacts
 
@@ -405,8 +416,8 @@ def _build_fig6(cfg: ScenarioConfig):
         _check_below("modulation_energy_rel_err", energy_rel_err, 1e-12),
     ]
     artifacts = {
-        "spectrum_baseband.csv": spectrum_csv_text(dft_two_sided(bb)),
-        "spectrum_modulated.csv": spectrum_csv_text(sp_moved),
+        "spectrum_baseband.csv": _spectrum(bb),
+        "spectrum_modulated.csv": ("spectrum", sp_moved),
     }
     return metrics, verdicts, artifacts
 
@@ -429,9 +440,9 @@ def _build_fig7(cfg: ScenarioConfig):
         _check_below("conj_mirror_correlation", corr, 0.1),
     ]
     artifacts = {
-        "spectrum_stream_a.csv": spectrum_csv_text(dft_two_sided(stream_a)),
-        "spectrum_stream_b.csv": spectrum_csv_text(dft_two_sided(stream_b)),
-        "spectrum_dual.csv": spectrum_csv_text(sp_dual),
+        "spectrum_stream_a.csv": _spectrum(stream_a),
+        "spectrum_stream_b.csv": _spectrum(stream_b),
+        "spectrum_dual.csv": ("spectrum", sp_dual),
     }
     return metrics, verdicts, artifacts
 
@@ -456,10 +467,10 @@ def _build_fig9(cfg: ScenarioConfig):
         _check_below("modulation_energy_rel_err", abs(energy(moved_l) - e_bb) / e_bb, 1e-12),
     ]
     artifacts = {
-        "spectrum_baseband.csv": spectrum_csv_text(dft_two_sided(bb)),
-        "spectrum_modulated.csv": spectrum_csv_text(dft_two_sided(moved_l)),
-        "spectrum_demodulated.csv": spectrum_csv_text(dft_two_sided(back_l)),
-        "signal_demodulated.csv": signal_csv_text(back_l),
+        "spectrum_baseband.csv": _spectrum(bb),
+        "spectrum_modulated.csv": _spectrum(moved_l),
+        "spectrum_demodulated.csv": _spectrum(back_l),
+        "signal_demodulated.csv": ("signal", back_l),
     }
     return metrics, verdicts, artifacts
 
@@ -495,10 +506,10 @@ def _build_fig10(cfg: ScenarioConfig):
         _check_below("cross_leakage_db", leak_db, -40.0),
     ]
     artifacts = {
-        "spectrum_dual.csv": spectrum_csv_text(dft_two_sided(dual)),
-        "spectrum_recovered_a.csv": spectrum_csv_text(dft_two_sided(rec_a)),
-        "spectrum_recovered_b.csv": spectrum_csv_text(dft_two_sided(rec_b)),
-        "filter_taps.csv": taps_csv_text(taps),
+        "spectrum_dual.csv": _spectrum(dual),
+        "spectrum_recovered_a.csv": _spectrum(rec_a),
+        "spectrum_recovered_b.csv": _spectrum(rec_b),
+        "filter_taps.csv": ("taps", taps),
     }
     return metrics, verdicts, artifacts
 
@@ -541,8 +552,8 @@ def _build_group_laws(cfg: ScenarioConfig):
         ),
     ]
     artifacts = {
-        "spectrum_tone_before.csv": spectrum_csv_text(dft_two_sided(tone)),
-        "spectrum_tone_after.csv": spectrum_csv_text(dft_two_sided(flipped)),
+        "spectrum_tone_before.csv": _spectrum(tone),
+        "spectrum_tone_after.csv": _spectrum(flipped),
     }
     return metrics, verdicts, artifacts
 
@@ -601,12 +612,12 @@ def _build_compare(cfg: ScenarioConfig):
         _check_count("dual_independent_streams", dual_streams, 2),
     ]
     artifacts = {
-        "spectrum_real_passband.csv": spectrum_csv_text(sp_pb),
-        "spectrum_real_recovered.csv": spectrum_csv_text(dft_two_sided(recovered)),
-        "spectrum_dual.csv": spectrum_csv_text(sp_dual),
-        "spectrum_dual_recovered_a.csv": spectrum_csv_text(dft_two_sided(rec_a)),
-        "spectrum_dual_recovered_b.csv": spectrum_csv_text(dft_two_sided(rec_b)),
-        "filter_taps.csv": taps_csv_text(taps),
+        "spectrum_real_passband.csv": ("spectrum", sp_pb),
+        "spectrum_real_recovered.csv": _spectrum(recovered),
+        "spectrum_dual.csv": ("spectrum", sp_dual),
+        "spectrum_dual_recovered_a.csv": _spectrum(rec_a),
+        "spectrum_dual_recovered_b.csv": _spectrum(rec_b),
+        "filter_taps.csv": ("taps", taps),
     }
     return metrics, verdicts, artifacts
 
@@ -641,12 +652,10 @@ def _build_polarization(cfg: ScenarioConfig):
         _check_equals("energy_match_exact", str(energy_match).lower(), "true"),
     ]
     artifacts = {
-        "pair_transmitted_r.csv": pair_csv_text(received["r"]),
-        "spectrum_received_r.csv": spectrum_csv_text(dft_two_sided(from_polarized(received["r"]))),
-        "spectrum_received_l.csv": spectrum_csv_text(dft_two_sided(from_polarized(received["l"]))),
-        "spectrum_received_linear.csv": spectrum_csv_text(
-            dft_two_sided(from_polarized(received["linear"]))
-        ),
+        "pair_transmitted_r.csv": ("pair", received["r"]),
+        "spectrum_received_r.csv": _spectrum(from_polarized(received["r"])),
+        "spectrum_received_l.csv": _spectrum(from_polarized(received["l"])),
+        "spectrum_received_linear.csv": _spectrum(from_polarized(received["linear"])),
     }
     return metrics, verdicts, artifacts
 
@@ -664,11 +673,13 @@ _BUILDERS = {
 }
 
 
-def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, str]]:
-    """Run a scenario in memory; returns the report and artifact texts."""
+def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[str, Any]]]:
+    """Run a scenario in memory; returns the report and the artifacts as
+    ``name -> (kind, data)``.  ``config.txt`` has kind ``"config"`` and the
+    configuration as data; every other kind is a ``sigio.SCHEMAS`` table."""
     cfg.validate()
     metrics, verdicts, artifacts = _BUILDERS[cfg.scenario](cfg)
-    all_artifacts = {"config.txt": cfg.to_text(), **artifacts}
+    all_artifacts = {"config.txt": ("config", cfg), **artifacts}
     report = RunReport(
         scenario_id=cfg.scenario,
         config_digest=cfg.digest(),
@@ -684,7 +695,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     report, artifacts = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
+    for name, (kind, data) in artifacts.items():
+        if kind == "config":
+            text = data.to_text()
+        else:
+            # looked up on the module at each call, so that wrappers installed
+            # there for profiling see every write
+            text = getattr(sigio, f"{kind}_csv_text")(data)
         (out / name).write_text(text)
     (out / "report.txt").write_text(report.to_text())
     return report
@@ -696,22 +713,36 @@ def compare_chains(cfg: ScenarioConfig) -> RunReport:
     return report
 
 
-def _parse_artifact(path: Path) -> None:
-    from . import sigio
+#: a stored artifact value may differ from its recomputed value by this
+#: fraction of the recomputed column's peak magnitude (0 for an all-zero column)
+ARTIFACT_RTOL = 1e-9
 
-    name = path.name
-    if name == "config.txt":
-        ScenarioConfig.from_mapping(parse_config_text(path.read_text()))
-    elif name.startswith("spectrum"):
-        sigio.read_spectrum_csv(path)
-    elif name.startswith("signal"):
-        sigio.read_signal_csv(path)
-    elif name.startswith("pair"):
-        sigio.read_pair_csv(path)
-    elif name == "filter_taps.csv":
-        sigio.read_taps_csv(path)
-    else:
-        raise ValueError(f"artifact {name} has no known schema")
+
+def _read_artifact(kind: str, path: Path) -> dict[str, np.ndarray]:
+    parsed = getattr(sigio, f"read_{kind}_csv")(path)
+    return parsed if isinstance(parsed, dict) else {"tap": parsed}  # taps: one column
+
+
+def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndarray]) -> str | None:
+    """Where ``stored`` first departs from ``fresh``: its first diverging row,
+    naming the column and both values; None when every row matches."""
+    n_stored = len(next(iter(stored.values())))
+    n_fresh = len(next(iter(fresh.values())))
+    if n_stored != n_fresh:
+        return f"has {n_stored} rows, a fresh execution {n_fresh}"
+    first: tuple[int, str] | None = None
+    for column, values in stored.items():
+        ref = fresh[column]
+        bad = np.flatnonzero(~(np.abs(values - ref) <= ARTIFACT_RTOL * np.max(np.abs(ref))))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), column)
+    if first is None:
+        return None
+    row, column = first
+    return (
+        f"row {row + 1} column {column}: stored {fmt(stored[column][row])}, "
+        f"recomputed {fmt(fresh[column][row])}"
+    )
 
 
 def _measured_close(stored: str, fresh: str) -> bool:
@@ -725,11 +756,11 @@ def _measured_close(stored: str, fresh: str) -> bool:
 
 
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
-    """Re-check an existing run: every declared artifact exists and parses,
-    and re-executing the stored configuration reproduces every verdict
-    (values compared at 1e-9)."""
+    """Re-check an existing run against a fresh execution of its stored
+    configuration.  Every declared artifact must exist, parse, and match the
+    recomputed table row by row (at ``ARTIFACT_RTOL`` of each column's peak);
+    every verdict must reproduce (values compared at 1e-9) and pass."""
     out = Path(out_dir)
-    messages: list[str] = []
     report_path = out / "report.txt"
     if not report_path.exists():
         return False, [f"missing report: {report_path}"]
@@ -738,46 +769,50 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     except ValueError as exc:
         return False, [f"unreadable report: {exc}"]
 
-    ok = True
+    config_path = out / "config.txt"
+    if not config_path.exists():
+        return False, ["missing artifact: config.txt"]
+    try:
+        cfg = ScenarioConfig.from_mapping(parse_config_text(config_path.read_text()))
+        fresh, artifacts = execute_scenario(cfg)
+    except ValueError as exc:
+        return False, [f"stored configuration does not execute: {exc}"]
+
+    messages: list[str] = []
+    if fresh.config_digest != stored.config_digest:
+        messages.append("config digest mismatch between report and config.txt")
+    if stored.artifacts != fresh.artifacts:
+        messages.append("artifact list differs from a fresh execution")
     for name in stored.artifacts:
         path = out / name
         if not path.exists():
-            ok = False
             messages.append(f"missing artifact: {name}")
             continue
+        if name not in artifacts:  # reported by the artifact list check
+            continue
+        kind, data = artifacts[name]
+        if kind == "config":  # parsed and executed above
+            continue
         try:
-            _parse_artifact(path)
+            parsed = _read_artifact(kind, path)
         except ValueError as exc:
-            ok = False
             messages.append(f"artifact {name} failed schema check: {exc}")
+            continue
+        divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
+        if divergence is not None:
+            messages.append(f"artifact {name} {divergence}")
 
-    config_path = out / "config.txt"
-    if not config_path.exists():
-        return False, messages + ["missing artifact: config.txt"]
-    try:
-        cfg = ScenarioConfig.from_mapping(parse_config_text(config_path.read_text()))
-        fresh, _ = execute_scenario(cfg)
-    except ValueError as exc:
-        return False, messages + [f"stored configuration does not execute: {exc}"]
-
-    if fresh.config_digest != stored.config_digest:
-        ok = False
-        messages.append("config digest mismatch between report and config.txt")
     if len(fresh.verdicts) != len(stored.verdicts):
-        ok = False
         messages.append("verdict count differs from a fresh execution")
     else:
         for old, new in zip(stored.verdicts, fresh.verdicts):
             if old.name != new.name or not _measured_close(old.measured, new.measured):
-                ok = False
                 messages.append(
                     f"verdict {old.name}: stored {old.measured}, recomputed {new.measured}"
                 )
             elif old.passed != new.passed:
-                ok = False
                 messages.append(f"verdict {old.name}: pass/fail flipped on re-execution")
     for verdict in stored.verdicts:
         if not verdict.passed:
-            ok = False
             messages.append(f"verdict {verdict.name} is failing")
-    return ok, messages
+    return not messages, messages

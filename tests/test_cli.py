@@ -58,6 +58,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert "power of two" in err
 
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (["--scenario", "fig5", "--transition-hz", "1"], "237595 taps"),
+            (["--scenario", "polarization", "--noise-sigma", "nan"], "noise_sigma must be finite"),
+            (["--scenario", "fig7", "--guard-hz", "nan"], "guard_hz must be finite"),
+        ],
+    )
+    def test_unusable_value_exits_2_with_one_line(self, tmp_path, capsys, flags, fragment):
+        assert main(["run", "--out", str(tmp_path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert err.count("\n") == 1
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

@@ -1,5 +1,7 @@
 """Tests for the scenario engine: configs, reports, artifacts, verification."""
 
+import math
+
 import pytest
 
 from carrierlab import RunReport, ScenarioConfig, SCENARIOS, compare_chains, execute_scenario, run_scenario, verify_run
@@ -42,6 +44,11 @@ class TestScenarioConfig:
             (dict(crosstalk=1.5), "crosstalk"),
             (dict(noise_sigma=-1.0), "noise_sigma"),
             (dict(seed=-1), "seeds"),
+            (dict(guard_hz=math.nan), "guard_hz must be finite"),
+            (dict(noise_sigma=math.nan), "noise_sigma must be finite"),
+            (dict(sample_rate_hz=math.inf), "sample_rate_hz must be finite"),
+            (dict(transition_hz=1.0), "design needs 237595 taps, cap is 4097"),
+            (dict(stopband_atten_db=5.0), "too small for the Kaiser formula"),
         ],
     )
     def test_invalid_config_names_the_invariant(self, overrides, fragment):
@@ -176,3 +183,46 @@ class TestVerifyRun:
         ok, messages = verify_run(tmp_path)
         assert not ok
         assert any("missing report" in m for m in messages)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_untouched_run_verifies(self, tmp_path, scenario):
+        run_scenario(small_config(scenario), tmp_path)
+        ok, messages = verify_run(tmp_path)
+        assert ok, messages
+
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            ("fig9", "spectrum_modulated.csv"),
+            ("fig9", "signal_demodulated.csv"),
+            ("fig5", "filter_taps.csv"),
+            ("polarization", "pair_transmitted_r.csv"),
+        ],
+    )
+    def test_edited_artifact_value_detected(self, tmp_path, scenario, name):
+        run_scenario(small_config(scenario), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        cells = lines[37].split(",")  # data row 37; line 0 is the header
+        cells[-1] = repr(float(cells[-1]) + 1.0)
+        lines[37] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        ok, messages = verify_run(tmp_path)
+        assert not ok
+        column = lines[0].split(",")[-1]
+        assert any(f"{name} row 37 column {column}:" in m for m in messages), messages
+
+    def test_truncated_artifact_detected(self, fig9_run):
+        path = fig9_run / "signal_demodulated.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        ok, messages = verify_run(fig9_run)
+        assert not ok
+        assert any("signal_demodulated.csv has 8191 rows" in m for m in messages), messages
+
+    def test_undeclared_artifact_detected(self, fig9_run):
+        report_path = fig9_run / "report.txt"
+        text = report_path.read_text().replace("artifact: spectrum_baseband.csv\n", "")
+        report_path.write_text(text)
+        ok, messages = verify_run(fig9_run)
+        assert not ok
+        assert "artifact list differs from a fresh execution" in messages

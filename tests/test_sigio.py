@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from carrierlab import CarrierConfig, ComplexSignal, PolarizedPair, dft_two_sided, oscillator
 from carrierlab import sigio
@@ -96,3 +98,62 @@ class TestFloatFormat:
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 1e-300, 0.1 + 0.2, np.pi, -1e308])
     def test_shortest_repr_round_trips(self, x):
         assert float(sigio.fmt(x)) == x
+
+
+def _signal_text(n):
+    return sigio.signal_csv_text(ComplexSignal(np.arange(n) + 1j, FS))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestParser:
+    @given(st.lists(finite, min_size=1, max_size=50), st.lists(finite, min_size=1, max_size=50))
+    @example([-0.0, 5e-324], [2.2250738585072e-308, -1.5e-320])
+    @example([1.7e308, -1.7e308], [-0.0, 0.0])
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, ys, zs):
+        n = min(len(ys), len(zs))
+        pair = PolarizedPair(np.array(ys[:n]), np.array(zs[:n]), FS)
+        path = tmp_path_factory.getbasetemp() / "pair_bits.csv"
+        sigio.write_pair_csv(path, pair)
+        cols = sigio.read_pair_csv(path)
+        assert cols["comp_y"].tobytes() == pair.comp_y.tobytes()
+        assert cols["comp_z"].tobytes() == pair.comp_z.tobytes()
+        sigio.write_taps_csv(path, pair.comp_y)
+        assert sigio.read_taps_csv(path).tobytes() == pair.comp_y.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad_rows, message",
+        [
+            ({3000: "3000,0.0,1.0"}, "row 3000 has 3 columns"),
+            ({3000: "3000,0.0,oops,0.0"}, "row 3000 is not numeric"),
+            ({3000: "3000,0.0,1.0,0.0,9"}, "row 3000 has 5 columns"),
+            # the first malformed row is named, whatever is wrong with later ones
+            ({2999: "2999,0.0,oops,0.0", 3000: "3000,0.0"}, "row 2999 is not numeric"),
+            ({1500: "1500,0.0,1.0", 3000: "3000,x,1.0,0.0"}, "row 1500 has 3 columns"),
+        ],
+    )
+    def test_malformed_row_past_first_block_named(self, tmp_path, bad_rows, message):
+        lines = _signal_text(4096).splitlines()
+        for row, text in bad_rows.items():
+            lines[row] = text
+        path = tmp_path / "signal_x.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^malformed signal CSV: {message}$"):
+            sigio.read_signal_csv(path)
+
+    @pytest.mark.parametrize("kind", sorted(sigio.SCHEMAS))
+    @pytest.mark.parametrize("text", ["{header}\n", "x,{header}\n1\n", ""])
+    def test_header_only_or_wrong_header_rejected(self, tmp_path, kind, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text.format(header=sigio.SCHEMAS[kind].header))
+        with pytest.raises(ValueError, match="malformed"):
+            getattr(sigio, f"read_{kind}_csv")(path)
+
+    def test_long_table_round_trips(self, tmp_path):
+        s = _signal(3, n=5000)
+        path = tmp_path / "signal_x.csv"
+        sigio.write_signal_csv(path, s)
+        cols = sigio.read_signal_csv(path)
+        np.testing.assert_array_equal(cols["re"], s.samples.real)
+        np.testing.assert_array_equal(cols["index"], np.arange(s.n))
