@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .scenarios import (
@@ -13,24 +14,6 @@ from .scenarios import (
     parse_config_text,
     run_scenario,
     verify_run,
-)
-from .scenarios import _FLOAT_FIELDS, _INT_FIELDS  # flag typing mirrors the config
-
-_OVERRIDE_KEYS = (
-    "sample_rate_hz",
-    "n_samples",
-    "f_c_hz",
-    "symbol_rate_hz",
-    "constellation",
-    "seed",
-    "guard_hz",
-    "rolloff",
-    "cutoff_hz",
-    "transition_hz",
-    "stopband_atten_db",
-    "noise_sigma",
-    "crosstalk",
-    "channel_seed",
 )
 
 
@@ -43,17 +26,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario and write its artifacts")
-    run_p.add_argument("--scenario", choices=SCENARIOS, help="scenario to run")
     run_p.add_argument("--config", type=Path, help="flat key = value config file")
     run_p.add_argument("--out", type=Path, help="output directory (default runs/<scenario>)")
-    for key in _OVERRIDE_KEYS:
-        flag = "--" + key.replace("_", "-")
-        if key in _INT_FIELDS:
-            run_p.add_argument(flag, dest=key, type=int)
-        elif key in _FLOAT_FIELDS:
-            run_p.add_argument(flag, dest=key, type=float)
+    # one flag per config field; values stay text so that flags and config
+    # files go through the same parser
+    for f in fields(ScenarioConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "scenario":
+            run_p.add_argument(flag, choices=SCENARIOS, help="scenario to run")
         else:
-            run_p.add_argument(flag, dest=key)
+            run_p.add_argument(flag, dest=f.name)
 
     sub.add_parser("list", help="list available scenarios")
 
@@ -62,28 +44,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     mapping: dict[str, str] = {}
     if args.config is not None:
         try:
             mapping.update(parse_config_text(Path(args.config).read_text()))
         except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    if args.scenario is not None:
-        mapping["scenario"] = args.scenario
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key)
+            return _config_error(exc)
+    for f in fields(ScenarioConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            mapping[key] = str(value)
+            mapping[f.name] = value
     try:
         cfg = ScenarioConfig.from_mapping(mapping)
-        cfg.validate()
+        out_dir = args.out if args.out is not None else Path("runs") / cfg.scenario
+        # run_scenario validates the config and builds the chain before it
+        # writes anything, so a rejected config leaves no files behind
+        report = run_scenario(cfg, out_dir)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = args.out if args.out is not None else Path("runs") / cfg.scenario
-    report = run_scenario(cfg, out_dir)
+        return _config_error(exc)
     sys.stdout.write(report.to_text())
     print(f"artifacts written to {out_dir}")
     return 0 if report.passed else 1

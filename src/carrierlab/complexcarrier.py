@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
-from .signals import CarrierConfig, ComplexSignal, add, multiply, oscillator
+from .signals import CarrierConfig, ComplexSignal, add, multiply, oscillator, steady_pair
 from .spectrum import dft_two_sided, energy_is_zero, occupied_bandwidth, occupied_range
 
 
@@ -102,10 +102,7 @@ def dual_demodulate(
     """
     if not f_c > 0:
         raise ValueError("dual demodulation carrier frequency must be positive")
-    b = 0.0
-    if not energy_is_zero(cb):
-        lo, hi = occupied_range(dft_two_sided(cb))
-        b = 2.0 * max(hi - f_c, -lo - f_c, 0.0)
+    b = occupied_bandwidth(cb, f_center=f_c)
     if lpf.cutoff_hz + lpf.transition_hz > 2 * f_c - b:
         raise ValueError(
             f"low-pass cutoff {lpf.cutoff_hz} Hz + transition {lpf.transition_hz} Hz "
@@ -124,11 +121,7 @@ def evm_db(recovered: ComplexSignal, reference: ComplexSignal) -> float:
         raise ValueError("EVM requires signals of equal length")
     if recovered.sample_rate_hz != reference.sample_rate_hz:
         raise ValueError("EVM requires signals at the same sample rate")
-    skip = max(recovered.transient, reference.transient)
-    if 2 * skip >= recovered.n:
-        raise ValueError("no steady-state samples left for EVM")
-    r = recovered.samples[skip : recovered.n - skip]
-    ref = reference.samples[skip : reference.n - skip]
+    r, ref = steady_pair(recovered, reference)
     ref_energy = float(np.sum(ref.real**2 + ref.imag**2))
     if ref_energy == 0.0:
         raise ValueError("EVM reference signal has zero energy")

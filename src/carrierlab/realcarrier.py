@@ -15,15 +15,7 @@ import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
 from .signals import CarrierConfig, ComplexSignal, multiply, oscillator, real_part
-from .spectrum import dft_two_sided, energy_is_zero, occupied_bandwidth, occupied_range
-
-
-def _passband_bandwidth(s: ComplexSignal, f_center: float, fraction: float = 0.999) -> float:
-    """Two-sided width of content sitting around +/- ``f_center``."""
-    if energy_is_zero(s):
-        return 0.0
-    lo, hi = occupied_range(dft_two_sided(s), fraction)
-    return 2.0 * max(hi - f_center, -lo - f_center, 0.0)
+from .spectrum import occupied_bandwidth
 
 
 def real_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
@@ -62,7 +54,7 @@ def real_demodulate(
     if np.any(passband.samples.imag != 0.0):
         raise ValueError("real-carrier demodulation expects a real-valued passband signal")
     f_c = abs(carrier.frequency_hz)
-    b = _passband_bandwidth(passband, f_c)
+    b = occupied_bandwidth(passband, f_center=f_c)
     if lpf.cutoff_hz >= 2 * f_c - b:
         raise ValueError(
             f"low-pass cutoff {lpf.cutoff_hz} Hz cannot reject the image at "

@@ -181,5 +181,5 @@ def read_pair_csv(path: Path) -> dict[str, np.ndarray]:
     return _read_table("pair", path)
 
 
-def read_taps_csv(path: Path) -> np.ndarray:
-    return _read_table("taps", path)["tap"]
+def read_taps_csv(path: Path) -> dict[str, np.ndarray]:
+    return _read_table("taps", path)

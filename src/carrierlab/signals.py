@@ -213,6 +213,15 @@ def scale(s: ComplexSignal, c: complex) -> ComplexSignal:
     return ComplexSignal(s.samples * c, s.sample_rate_hz, s.t0_s, s.transient)
 
 
+def steady_pair(x: ComplexSignal, y: ComplexSignal) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of ``x`` and of ``y`` outside the larger of their two
+    transient edges, so both slices cover the same instants."""
+    skip = max(x.transient, y.transient)
+    if 2 * skip >= x.n:
+        raise ValueError("no steady-state samples left for comparison")
+    return x.samples[skip : x.n - skip], y.samples[skip : y.n - skip]
+
+
 def energy(s: ComplexSignal) -> float:
     """Signal energy ``sum(|x|^2) / fs``; zero iff every sample is zero."""
     return float(np.sum(s.samples.real**2 + s.samples.imag**2) / s.sample_rate_hz)

@@ -155,14 +155,15 @@ def occupied_range(sp: Spectrum, fraction: float = 0.999) -> tuple[float, float]
     return float(sp.freq_axis_hz[lo]), float(sp.freq_axis_hz[hi])
 
 
-def occupied_bandwidth(s: ComplexSignal, fraction: float = 0.999) -> float:
-    """Two-sided occupied bandwidth of a (DC-centered) signal: twice the
-    largest |f| needed to capture ``fraction`` of the energy.  Zero for an
-    all-zero signal."""
+def occupied_bandwidth(s: ComplexSignal, fraction: float = 0.999, *, f_center: float = 0.0) -> float:
+    """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
+    over the frequencies needed to capture ``fraction`` of the energy.  The
+    default measures DC-centered content; ``f_center`` set to a carrier
+    measures the bands around +/- that carrier.  Zero for an all-zero signal."""
     if energy_is_zero(s):
         return 0.0
     lo, hi = occupied_range(dft_two_sided(s), fraction)
-    return 2.0 * max(hi, -lo, 0.0)
+    return 2.0 * max(hi - f_center, -lo - f_center, 0.0)
 
 
 def energy_is_zero(s: ComplexSignal) -> bool:

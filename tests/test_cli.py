@@ -1,7 +1,16 @@
 """Tests for the command-line interface and its exit-status contract."""
 
-import pytest
+import contextlib
+import io
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from carrierlab import Constellation, ScenarioConfig
 from carrierlab.cli import main
 from carrierlab.scenarios import SCENARIOS
 
@@ -64,6 +73,12 @@ class TestRun:
             (["--scenario", "fig5", "--transition-hz", "1"], "237595 taps"),
             (["--scenario", "polarization", "--noise-sigma", "nan"], "noise_sigma must be finite"),
             (["--scenario", "fig7", "--guard-hz", "nan"], "guard_hz must be finite"),
+            (["--scenario", "fig7", "--guard-hz", "8000"], "does not fit a band"),
+            (["--scenario", "fig5", "--n-samples", "1024", "--transition-hz", "200"], "no steady-state samples"),
+            (["--scenario", "fig10", "--n-samples", "1024", "--transition-hz", "200"], "no steady-state samples"),
+            (["--scenario", "fig10", "--cutoff-hz", "15000", "--transition-hz", "1000"], "cannot isolate one band"),
+            (["--scenario", "group_laws", "--n-samples", "64"], "past the Nyquist limit"),
+            (["--scenario", "fig4", "--n-samples", "abc"], "invalid literal for int()"),
         ],
     )
     def test_unusable_value_exits_2_with_one_line(self, tmp_path, capsys, flags, fragment):
@@ -71,6 +86,48 @@ class TestRun:
         err = capsys.readouterr().err
         assert fragment in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_every_field_has_a_flag(self, tmp_path, capsys):
+        flags = {
+            "sample_rate_hz": "8192",
+            "n_samples": "4096",
+            "f_c_hz": "1024",
+            "symbol_rate_hz": "128",
+            "constellation": "QAM16",
+            "seed": "5",
+            "guard_hz": "32",
+            "rolloff": "0.5",
+            "cutoff_hz": "700",
+            "transition_hz": "300",
+            "stopband_atten_db": "50",
+            "noise_sigma": "0.01",
+            "crosstalk": "0.1",
+            "channel_seed": "9",
+        }
+        assert set(flags) == {f.name for f in fields(ScenarioConfig)} - {"scenario"}
+        argv = ["run", "--scenario", "fig6", "--out", str(tmp_path)]
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        assert main(argv) == 0
+        expected = ScenarioConfig(
+            scenario="fig6",
+            sample_rate_hz=8192.0,
+            n_samples=4096,
+            f_c_hz=1024.0,
+            symbol_rate_hz=128.0,
+            constellation=Constellation.QAM16,
+            seed=5,
+            guard_hz=32.0,
+            rolloff=0.5,
+            cutoff_hz=700.0,
+            transition_hz=300.0,
+            stopband_atten_db=50.0,
+            noise_sigma=0.01,
+            crosstalk=0.1,
+            channel_seed=9,
+        )
+        assert (tmp_path / "config.txt").read_text() == expected.to_text()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
@@ -99,3 +156,49 @@ class TestVerify:
 
     def test_verify_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path / "ghost")]) == 2
+
+
+_DEFAULTS = ScenarioConfig()
+#: malformed, non-finite, overflowing, or out of range for most fields
+_UNUSABLE = ["-1", "0", "1e-320", "1e308", "nan", "-inf", "", "abc"]
+
+
+def _raw_values(name):
+    """Text for field ``name``: half the time its default scaled by 0.5, 1
+    or 2, half the time a value from ``_UNUSABLE``."""
+    if name == "constellation":
+        return st.sampled_from(["qpsk", "QAM16"]) | st.sampled_from(["bpsk", ""])
+    default = getattr(_DEFAULTS, name)
+    usable = [str(type(default)(default * k)) for k in (0.5, 1, 2)]
+    return st.sampled_from(usable) | st.sampled_from(_UNUSABLE)
+
+
+_OVERRIDES = st.lists(
+    st.sampled_from([f.name for f in fields(ScenarioConfig) if f.name not in ("scenario", "n_samples")])
+    .flatmap(lambda name: st.tuples(st.just(name), _raw_values(name))),
+    max_size=3,
+).map(dict)
+# n_samples is always set, and small, so that every example runs quickly
+_N_SAMPLES = st.sampled_from(["256", "1024", "2048"]) | st.sampled_from(["1000", "0", "-2", "abc"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), n_samples=_N_SAMPLES, overrides=_OVERRIDES)
+def test_every_config_ends_in_a_verdict_or_one_line(scenario, n_samples, overrides):
+    """A run either writes a report and exits 0 or 1, or writes nothing and
+    exits 2 with a one-line diagnostic; no exception escapes ``main``."""
+    argv = ["run", "--scenario", scenario, f"--n-samples={n_samples}"]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        if code == 2:
+            assert stderr.getvalue().startswith("config error: ")
+            assert stderr.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            assert code in (0, 1)
+            assert (out / "report.txt").exists()
+            assert stdout.getvalue().count("verdict: ") == 1

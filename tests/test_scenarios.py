@@ -49,6 +49,9 @@ class TestScenarioConfig:
             (dict(sample_rate_hz=math.inf), "sample_rate_hz must be finite"),
             (dict(transition_hz=1.0), "design needs 237595 taps, cap is 4097"),
             (dict(stopband_atten_db=5.0), "too small for the Kaiser formula"),
+            (dict(stopband_atten_db=1e308), "needs over 4097 taps"),
+            (dict(transition_hz=1e-320), "needs over 4097 taps"),
+            (dict(sample_rate_hz=1e308, symbol_rate_hz=1e-300), "integer multiple"),
         ],
     )
     def test_invalid_config_names_the_invariant(self, overrides, fragment):
@@ -78,6 +81,10 @@ class TestScenarioConfig:
     def test_malformed_config_line_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("scenario = fig4\nbogus line\n")
+
+    def test_duplicate_config_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2 repeats key 'seed'"):
+            parse_config_text("seed = 1\nseed = 2")
 
 
 class TestScenarioRuns:
@@ -191,25 +198,26 @@ class TestVerifyRun:
         assert ok, messages
 
     @pytest.mark.parametrize(
-        "scenario, name",
+        "scenario, name, cell",
         [
-            ("fig9", "spectrum_modulated.csv"),
-            ("fig9", "signal_demodulated.csv"),
-            ("fig5", "filter_taps.csv"),
-            ("polarization", "pair_transmitted_r.csv"),
+            pytest.param("fig9", "spectrum_modulated.csv", -1, id="fig9-spectrum_modulated.csv"),
+            pytest.param("fig9", "signal_demodulated.csv", -1, id="fig9-signal_demodulated.csv"),
+            pytest.param("fig5", "filter_taps.csv", -1, id="fig5-filter_taps.csv"),
+            pytest.param("fig5", "filter_taps.csv", 0, id="fig5-filter_taps.csv-k"),
+            pytest.param("polarization", "pair_transmitted_r.csv", -1, id="polarization-pair_transmitted_r.csv"),
         ],
     )
-    def test_edited_artifact_value_detected(self, tmp_path, scenario, name):
+    def test_edited_artifact_value_detected(self, tmp_path, scenario, name, cell):
         run_scenario(small_config(scenario), tmp_path)
         path = tmp_path / name
         lines = path.read_text().splitlines()
         cells = lines[37].split(",")  # data row 37; line 0 is the header
-        cells[-1] = repr(float(cells[-1]) + 1.0)
+        cells[cell] = repr(float(cells[cell]) + 1.0)
         lines[37] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         ok, messages = verify_run(tmp_path)
         assert not ok
-        column = lines[0].split(",")[-1]
+        column = lines[0].split(",")[cell]
         assert any(f"{name} row 37 column {column}:" in m for m in messages), messages
 
     def test_truncated_artifact_detected(self, fig9_run):

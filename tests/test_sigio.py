@@ -85,7 +85,7 @@ class TestTapsCsv:
         taps = np.array([0.25, 0.5, 0.25])
         path = tmp_path / "filter_taps.csv"
         sigio.write_taps_csv(path, taps)
-        np.testing.assert_array_equal(sigio.read_taps_csv(path), taps)
+        np.testing.assert_array_equal(sigio.read_taps_csv(path)["tap"], taps)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "filter_taps.csv"
@@ -120,7 +120,7 @@ class TestParser:
         assert cols["comp_y"].tobytes() == pair.comp_y.tobytes()
         assert cols["comp_z"].tobytes() == pair.comp_z.tobytes()
         sigio.write_taps_csv(path, pair.comp_y)
-        assert sigio.read_taps_csv(path).tobytes() == pair.comp_y.tobytes()
+        assert sigio.read_taps_csv(path)["tap"].tobytes() == pair.comp_y.tobytes()
 
     @pytest.mark.parametrize(
         "bad_rows, message",

@@ -231,6 +231,10 @@ class TestOccupied:
     def test_bandwidth_of_silence_is_zero(self):
         assert occupied_bandwidth(_signal(np.zeros(64))) == 0.0
 
+    def test_mirrored_tones_have_no_width_about_their_center(self):
+        s = add(_osc(-96.0), _osc(96.0))
+        assert occupied_bandwidth(s, f_center=96.0) == 0.0
+
     def test_bad_fraction_rejected(self):
         sp = dft_two_sided(_osc(48.0))
         with pytest.raises(ValueError):
