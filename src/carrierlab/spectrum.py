@@ -198,8 +198,11 @@ def conj_mirror_correlation(sp: Spectrum) -> float:
     R-band bins: 1 for real-valued signals, near 0 when the two bands carry
     independent content."""
     neg, pos = _mirror_pairs(sp)
-    v = np.conj(pos)
-    norm = float(np.linalg.norm(neg) * np.linalg.norm(v))
+    # numpy sums, not vdot/norm: BLAS splits those across threads above ~10k
+    # elements, so their rounding would depend on the thread count
+    neg_norm = np.sqrt(np.sum(neg.real**2 + neg.imag**2))
+    pos_norm = np.sqrt(np.sum(pos.real**2 + pos.imag**2))
+    norm = float(neg_norm * pos_norm)
     if norm == 0.0:
         return 0.0
-    return float(np.abs(np.vdot(v, neg)) / norm)
+    return float(np.abs(np.sum(pos * neg)) / norm)

@@ -1,10 +1,16 @@
 """Tests for the scenario engine: configs, reports, artifacts, verification."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from carrierlab import RunReport, ScenarioConfig, SCENARIOS, compare_chains, execute_scenario, run_scenario, verify_run
+import carrierlab
+from carrierlab import ScenarioConfig, SCENARIOS, compare_chains, execute_scenario, run_scenario, verify_run
 from carrierlab.scenarios import parse_config_text
 from carrierlab import sigio
 
@@ -102,9 +108,7 @@ class TestScenarioRuns:
         for name in report.artifacts:
             assert (out / name).exists(), name
         assert (out / "report.txt").exists()
-        stored = RunReport.from_text((out / "report.txt").read_text())
-        assert stored.config_digest == report.config_digest
-        assert [v.name for v in stored.verdicts] == [v.name for v in report.verdicts]
+        assert (out / "report.txt").read_text() == report.to_text()
 
     def test_spectrum_artifacts_parse(self, tmp_path):
         out = tmp_path / "fig6"
@@ -131,13 +135,28 @@ class TestScenarioRuns:
         names = {v.name for v in report.verdicts}
         assert {"real_independent_streams", "dual_independent_streams"} <= names
 
-    def test_report_text_round_trip(self):
-        report, _ = execute_scenario(small_config("polarization"))
-        parsed = RunReport.from_text(report.to_text())
-        assert parsed.scenario_id == report.scenario_id
-        assert parsed.metrics == report.metrics
-        assert parsed.verdicts == report.verdicts
-        assert parsed.passed == report.passed
+    def test_report_independent_of_blas_threads(self):
+        # OpenBLAS splits long dot products and norms across threads, which
+        # changes their rounding; 32768 samples give 16383-bin mirror spectra,
+        # long enough to be split
+        script = (
+            "from carrierlab import ScenarioConfig, execute_scenario\n"
+            "for scenario in ('fig4', 'compare'):\n"
+            "    report, _ = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=32768))\n"
+            "    print(report.to_text())\n"
+        )
+        src = str(Path(carrierlab.__file__).parents[1])
+        reports = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert reports[0] == reports[1]
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -167,18 +186,66 @@ class TestVerifyRun:
         assert not ok
         assert any("schema" in m for m in messages)
 
-    def test_tampered_measurement_detected(self, fig9_run):
-        # rewrite one measured value; the line stays parseable but wrong
-        report_path = fig9_run / "report.txt"
-        lines = [
-            line if not line.startswith("round_trip_max_err_l") else
-            "round_trip_max_err_l: 0.5 / < 1e-12 / pass"
-            for line in report_path.read_text().splitlines()
-        ]
-        report_path.write_text("\n".join(lines) + "\n")
+    # fig9's report.txt: scenario, digest, five artifacts, three energies
+    # (lines 8-10), three checks (lines 11-13) and the verdict line
+    @pytest.mark.parametrize(
+        "name, pattern, replacement, expected",
+        [
+            pytest.param(
+                "report.txt", r"^round_trip_max_err_l: \S+", "round_trip_max_err_l: 0.5",
+                "report.txt line 11: stored 'round_trip_max_err_l: 0.5 / < 1e-12 / pass'", id="measured",
+            ),
+            pytest.param(
+                "report.txt", r"^energy\.modulated: .*", "energy.modulated: 0.5",
+                "report.txt line 9: stored 'energy.modulated: 0.5'", id="metric",
+            ),
+            pytest.param(
+                "report.txt", r"^energy\.modulated: ", "energy.modulated: +",
+                "report.txt line 9: stored 'energy.modulated: +", id="respelled",
+            ),
+            pytest.param(
+                "report.txt", r"< 1e-12", "< 1000.0",
+                "report.txt line 11: stored 'round_trip_max_err_l: ", id="threshold",
+            ),
+            pytest.param(
+                "report.txt", r"^scenario: fig9", "scenario: fig6",
+                "report.txt line 1: stored 'scenario: fig6', recomputed 'scenario: fig9'", id="scenario",
+            ),
+            pytest.param(
+                "report.txt", r"^energy\.demodulated: .*\n", "",
+                "report.txt line 10: stored 'round_trip_max_err_l: ", id="deleted",
+            ),
+            pytest.param(
+                "report.txt", r"\Z", "energy.extra: 1.0\n",
+                "report.txt line 15: stored 'energy.extra: 1.0', recomputed nothing", id="appended",
+            ),
+            pytest.param(
+                "report.txt", r"^(energy\.baseband: .*)\n(energy\.modulated: .*)", r"\2\n\1",
+                "report.txt line 8: stored 'energy.modulated: ", id="swapped",
+            ),
+            pytest.param(
+                "config.txt", r"\Z", "# edited\n",
+                "config.txt line 17: stored '# edited', recomputed nothing", id="config-comment",
+            ),
+        ],
+    )
+    def test_tampered_measurement_detected(self, fig9_run, name, pattern, replacement, expected):
+        # each edit leaves the file readable, but no longer what a fresh run writes
+        path = fig9_run / name
+        text = path.read_text()
+        edited = re.sub(pattern, replacement, text, count=1, flags=re.MULTILINE)
+        assert edited != text
+        path.write_text(edited)
         ok, messages = verify_run(fig9_run)
         assert not ok
-        assert any("round_trip_max_err_l" in m for m in messages)
+        assert any(m.startswith(expected) for m in messages), messages
+
+    def test_undecodable_report_detected(self, fig9_run):
+        with open(fig9_run / "report.txt", "ab") as f:
+            f.write(b"\xff\n")
+        ok, messages = verify_run(fig9_run)
+        assert not ok
+        assert "report.txt line 15: stored '\ufffd', recomputed nothing" in messages
 
     def test_tampered_config_detected(self, fig9_run):
         config_path = fig9_run / "config.txt"

@@ -201,6 +201,18 @@ class TestConjugateSymmetry:
         )
         assert conj_mirror_correlation(dft_two_sided(dual)) < 0.1
 
+    def test_correlation_matches_blas_reference(self):
+        # the numpy sums change only the summation order of vdot/norm
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(N) + 0.5j * rng.standard_normal(N)
+        sp = dft_two_sided(_signal(x))
+        center = N // 2
+        neg = sp.bins[center - 1 :: -1][: center - 1]
+        pos = sp.bins[center + 1 :]
+        reference = abs(np.vdot(np.conj(pos), neg)) / (np.linalg.norm(neg) * np.linalg.norm(pos))
+        assert 0.2 < reference < 0.9
+        assert conj_mirror_correlation(sp) == pytest.approx(reference, rel=1e-12)
+
 
 class TestShiftTheorem:
     @pytest.mark.parametrize("m", [1, 5, -17])
