@@ -17,7 +17,7 @@ import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
 from .signals import CarrierConfig, ComplexSignal, add, multiply, oscillator, steady_pair
-from .spectrum import dft_two_sided, energy_is_zero, occupied_bandwidth, occupied_range
+from .spectrum import energy_is_zero, occupied_bandwidth, occupied_extent
 
 
 def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
@@ -46,7 +46,7 @@ def complex_demodulate(cb: ComplexSignal, carrier: CarrierConfig) -> ComplexSign
 def band_move(s: ComplexSignal, delta_hz: float) -> ComplexSignal:
     """Translate the whole spectrum by ``delta_hz`` (zero-phase carrier)."""
     if not energy_is_zero(s) and delta_hz != 0.0:
-        lo, hi = occupied_range(dft_two_sided(s))
+        lo, hi = occupied_extent(s)
         nyq = s.sample_rate_hz / 2
         if lo + delta_hz < -nyq or hi + delta_hz >= nyq:
             raise ValueError(

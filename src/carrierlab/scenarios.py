@@ -56,6 +56,11 @@ from .signals import (
 )
 from .spectrum import Spectrum, band_report, conj_mirror_correlation, conj_mirror_error, dft_two_sided, peak_frequency
 
+#: largest accepted ``n_samples``, 16 MiB per complex signal; bounds the
+#: memory a config can ask for
+MAX_SAMPLES = 1 << 20
+
+
 @dataclass
 class ScenarioConfig:
     """Inputs for one scenario run.
@@ -101,6 +106,8 @@ class ScenarioConfig:
             raise ValueError("sample_rate_hz must be positive")
         if self.n_samples < 2 or self.n_samples & (self.n_samples - 1):
             raise ValueError("n_samples must be a power of two")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be at most {MAX_SAMPLES}")
         if not self.f_c_hz > 0:
             raise ValueError("f_c_hz must be positive")
         if not self.symbol_rate_hz > 0:

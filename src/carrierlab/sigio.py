@@ -11,9 +11,9 @@ that table.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -28,9 +28,12 @@ SPECTRUM_HEADER = "freq_hz,re,im,magnitude,energy"
 PAIR_HEADER = "index,t_s,comp_y,comp_z"
 TAPS_HEADER = "k,tap"
 
-#: rows formatted or parsed in one batch; a whole file at once holds a Python
-#: object per cell and raises peak memory
+#: rows formatted in one batch; a whole file at once holds a Python object
+#: per cell and raises peak memory
 BLOCK_ROWS = 256
+#: characters parsed in one batch (about 350 spectrum rows), for the same
+#: reason; cut by size, since finding every row's end costs a call per row
+BLOCK_CHARS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -124,41 +127,54 @@ def write_taps_csv(path: Path, taps: np.ndarray) -> None:
     Path(path).write_text(taps_csv_text(taps))
 
 
-def _parse_rows(lines: list[str], first: int, out: np.ndarray, what: str) -> None:
-    """Row-by-row parse; names the first malformed row."""
-    width = out.shape[1]
-    for i, line in enumerate(lines, start=first):
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()`` in blocks of at least ``BLOCK_CHARS``
+    characters, so the whole file's line list never exists beside the text.
+    Blocks end just after a ``\n``, which always ends a line, so they join
+    up to the same lines as one ``splitlines()`` of the whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _parse_block(block: list[str], first: int, width: int, what: str) -> np.ndarray:
+    """Data rows ``first + 1, ...`` as a ``(len(block), width)`` array."""
+    out = np.empty((len(block), width), dtype=np.float64)
+    if list(map(str.count, block, repeat(","))).count(width - 1) == len(block):
+        try:
+            out.reshape(-1)[:] = list(map(float, ",".join(block).split(",")))
+            return out
+        except ValueError:
+            pass
+    # row-by-row parse; names the first malformed row
+    for i, line in enumerate(block):
         parts = line.split(",")
         if len(parts) != width:
-            raise ValueError(f"malformed {what} CSV: row {i + 1} has {len(parts)} columns")
+            raise ValueError(f"malformed {what} CSV: row {first + i + 1} has {len(parts)} columns")
         try:
             out[i] = [float(p) for p in parts]
         except ValueError:
-            raise ValueError(f"malformed {what} CSV: row {i + 1} is not numeric") from None
+            raise ValueError(f"malformed {what} CSV: row {first + i + 1} is not numeric") from None
+    return out
 
 
 def _parse_table(text: str, header: str, what: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
+    blocks = _line_blocks(text)
+    head = next(blocks, [])
+    if not head or head[0] != header:
         raise ValueError(f"malformed {what} CSV: expected header {header!r}")
     width = header.count(",") + 1
-    rows = np.empty((len(lines) - 1, width), dtype=np.float64)
-    flat = rows.reshape(-1)
-    for start in range(0, rows.shape[0], BLOCK_ROWS):
-        block = lines[1 + start : 1 + start + BLOCK_ROWS]
-        commas = list(map(str.count, block, repeat(",")))
-        if commas.count(width - 1) == len(block):
-            try:
-                flat[start * width : (start + len(block)) * width] = list(
-                    map(float, ",".join(block).split(","))
-                )
-                continue
-            except ValueError:
-                pass
-        _parse_rows(block, start, rows, what)
-    if rows.shape[0] == 0:
+    parsed = []
+    rows = 0
+    for block in chain([head[1:]], blocks):
+        if block:
+            parsed.append(_parse_block(block, rows, width, what))
+            rows += len(block)
+    if rows == 0:
         raise ValueError(f"malformed {what} CSV: no data rows")
-    return rows
+    return np.concatenate(parsed)
 
 
 def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.signal import upfirdn
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,7 +59,7 @@ class ComplexSignal:
             raise ValueError("a signal must contain at least one sample")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
-        if not np.all(np.isfinite(samples.real)) or not np.all(np.isfinite(samples.imag)):
+        if not np.isfinite(samples).all():
             raise ValueError("signal samples must be finite (no NaN/Inf)")
         if self.transient < 0:
             raise ValueError("transient sample count cannot be negative")
@@ -261,8 +262,8 @@ def generate_baseband(
     """Turn a symbol stream into a sampled baseband waveform.
 
     ``shaping`` is ``"rectangular"`` (each symbol held for
-    ``samples_per_symbol`` samples) or ``"raised_cosine"`` (zero-stuffed
-    symbols convolved with a truncated raised-cosine pulse; the occupied
+    ``samples_per_symbol`` samples) or ``"raised_cosine"`` (symbols
+    interpolated through a truncated raised-cosine pulse; the occupied
     two-sided bandwidth is then at most ``(1 + rolloff) * symbol_rate``).
     Output is deterministic for a fixed (seed, constellation, shaping).
     """
@@ -273,10 +274,10 @@ def generate_baseband(
         samples = np.repeat(msg.symbols, samples_per_symbol)
     elif shaping == "raised_cosine":
         pulse = raised_cosine_pulse(samples_per_symbol, rolloff)
-        upsampled = np.zeros(n_out, dtype=np.complex128)
-        upsampled[::samples_per_symbol] = msg.symbols
         delay = (pulse.size - 1) // 2
-        samples = np.convolve(upsampled, pulse)[delay : delay + n_out]
+        # polyphase interpolation: the convolution of the zero-stuffed
+        # symbols with the pulse, without the multiplies by stuffed zeros
+        samples = upfirdn(pulse, msg.symbols, up=samples_per_symbol)[delay : delay + n_out]
     else:
         raise ValueError(f"unknown shaping {shaping!r}; expected 'rectangular' or 'raised_cosine'")
     return ComplexSignal(samples, sample_rate_hz)

@@ -10,6 +10,7 @@ that spectral energy and the time-domain energy ``sum(|x|^2)/fs`` agree
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -155,6 +156,23 @@ def occupied_range(sp: Spectrum, fraction: float = 0.999) -> tuple[float, float]
     return float(sp.freq_axis_hz[lo]), float(sp.freq_axis_hz[hi])
 
 
+#: ``(lo, hi)`` per signal and fraction.  Signals are immutable and compare
+#: by identity, so an entry stays valid until the signal is collected; only
+#: the two floats are kept, never the spectrum.
+_EXTENTS: WeakKeyDictionary[ComplexSignal, dict[float, tuple[float, float]]] = WeakKeyDictionary()
+
+
+def occupied_extent(s: ComplexSignal, fraction: float = 0.999) -> tuple[float, float]:
+    """``occupied_range`` of the signal's spectrum, computed once per signal.
+
+    This is the bandwidth guard every chain checks its preconditions with.
+    """
+    memo = _EXTENTS.setdefault(s, {})
+    if fraction not in memo:
+        memo[fraction] = occupied_range(dft_two_sided(s), fraction)
+    return memo[fraction]
+
+
 def occupied_bandwidth(s: ComplexSignal, fraction: float = 0.999, *, f_center: float = 0.0) -> float:
     """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
     over the frequencies needed to capture ``fraction`` of the energy.  The
@@ -162,7 +180,7 @@ def occupied_bandwidth(s: ComplexSignal, fraction: float = 0.999, *, f_center: f
     measures the bands around +/- that carrier.  Zero for an all-zero signal."""
     if energy_is_zero(s):
         return 0.0
-    lo, hi = occupied_range(dft_two_sided(s), fraction)
+    lo, hi = occupied_extent(s, fraction)
     return 2.0 * max(hi - f_center, -lo - f_center, 0.0)
 
 

@@ -79,6 +79,7 @@ class TestRun:
             (["--scenario", "fig10", "--cutoff-hz", "15000", "--transition-hz", "1000"], "cannot isolate one band"),
             (["--scenario", "group_laws", "--n-samples", "64"], "past the Nyquist limit"),
             (["--scenario", "fig4", "--n-samples", "abc"], "invalid literal for int()"),
+            (["--scenario", "fig4", "--n-samples", str(1 << 21)], "n_samples must be at most 1048576"),
         ],
     )
     def test_unusable_value_exits_2_with_one_line(self, tmp_path, capsys, flags, fragment):

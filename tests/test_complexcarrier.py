@@ -1,5 +1,8 @@
 """Tests for complex-carrier modulation, band moves and dual-band carriage."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +28,13 @@ from carrierlab import (
     energy,
     evm_db,
     generate_baseband,
+    occupied_bandwidth,
     oscillator,
     peak_frequency,
     real_modulate,
     real_part,
     scale,
+    spectrum,
 )
 
 FS = 65536.0
@@ -134,6 +139,66 @@ class TestBandMove:
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError):
             band_move(_tone(15000.0), +20000.0)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Lengths of the FFTs ``spectrum`` runs while the test is active."""
+    calls = []
+    fft = spectrum.np.fft.fft
+
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return fft(x, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.np.fft, "fft", counting)
+    return calls
+
+
+class TestGuardMemo:
+    def test_repeated_guards_on_one_signal_run_one_fft(self, fft_calls):
+        s = _shaped_baseband(n_symbols=64, sps=16)
+        width = occupied_bandwidth(s)
+        band_move(s, 3000.0)
+        band_move(s, -2000.0)
+        band_move(s, 0.0)
+        assert occupied_bandwidth(s) == width
+        assert fft_calls == [s.n]
+
+    def test_equal_samples_in_a_new_signal_run_a_new_fft(self, fft_calls):
+        s = _shaped_baseband(n_symbols=64, sps=16)
+        band_move(s, 3000.0)
+        band_move(ComplexSignal(s.samples, s.sample_rate_hz), 3000.0)
+        assert len(fft_calls) == 2
+
+    def test_each_fraction_has_its_own_extent(self, fft_calls):
+        s = _shaped_baseband(n_symbols=64, sps=16)
+        assert occupied_bandwidth(s, 0.5) < occupied_bandwidth(s)
+        assert occupied_bandwidth(s, 0.5) < occupied_bandwidth(s)
+        assert len(fft_calls) == 2
+
+    def test_repeated_over_nyquist_move_raises_the_same_message(self, fft_calls):
+        s = _tone(15000.0)
+        with pytest.raises(ValueError, match="past the Nyquist limit") as first:
+            band_move(s, +20000.0)
+        with pytest.raises(ValueError) as again:
+            band_move(s, +20000.0)
+        assert str(again.value) == str(first.value)
+        assert len(fft_calls) == 1
+
+    def test_all_zero_signal_skips_the_guard(self, fft_calls):
+        z = ComplexSignal(np.zeros(N), FS)
+        assert not np.any(band_move(z, +20000.0).samples)
+        assert occupied_bandwidth(z) == 0.0
+        assert fft_calls == []
+
+    def test_memo_does_not_keep_the_signal_alive(self):
+        s = _shaped_baseband(n_symbols=64, sps=16)
+        band_move(s, 3000.0)
+        ref = weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
 
 
 class TestDualMessage:

@@ -11,7 +11,7 @@ import pytest
 
 import carrierlab
 from carrierlab import ScenarioConfig, SCENARIOS, compare_chains, execute_scenario, run_scenario, verify_run
-from carrierlab.scenarios import parse_config_text
+from carrierlab.scenarios import MAX_SAMPLES, parse_config_text
 from carrierlab import sigio
 
 # desk-scale configuration: same structure as the defaults, 8x smaller
@@ -58,12 +58,17 @@ class TestScenarioConfig:
             (dict(stopband_atten_db=1e308), "needs over 4097 taps"),
             (dict(transition_hz=1e-320), "needs over 4097 taps"),
             (dict(sample_rate_hz=1e308, symbol_rate_hz=1e-300), "integer multiple"),
+            (dict(n_samples=1 << 21), "n_samples must be at most 1048576"),
+            (dict(n_samples=1 << 62), "n_samples must be at most 1048576"),
         ],
     )
     def test_invalid_config_names_the_invariant(self, overrides, fragment):
         cfg = ScenarioConfig(**overrides)
         with pytest.raises(ValueError, match=fragment):
             cfg.validate()
+
+    def test_sample_ceiling_is_accepted(self):
+        ScenarioConfig(n_samples=MAX_SAMPLES).validate()  # validation only; nothing runs
 
     def test_text_round_trip_preserves_digest(self):
         cfg = ScenarioConfig(scenario="fig7", seed=9)

@@ -150,6 +150,23 @@ class TestParser:
         with pytest.raises(ValueError, match="malformed"):
             getattr(sigio, f"read_{kind}_csv")(path)
 
+    @given(st.text(alphabet="0,\n\r\x0b\x0c\x1c\x85\u2028", max_size=200), st.integers(1, 16))
+    def test_line_blocks_join_to_splitlines(self, text, block_chars):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sigio, "BLOCK_CHARS", block_chars)
+            blocks = list(sigio._line_blocks(text))
+        assert [line for block in blocks for line in block] == text.splitlines()
+
+    def test_rows_split_by_other_line_breaks_keep_their_numbers(self, tmp_path):
+        # a form feed ends a line for splitlines() as "\n" does, so these rows
+        # straddle the parser's blocks in a different place
+        lines = _signal_text(4096).splitlines()
+        lines[2500] = "2500,0.0,oops,0.0"
+        path = tmp_path / "signal_x.csv"
+        path.write_text("\x0c".join(lines[:2000]) + "\n" + "\n".join(lines[2000:]) + "\n")
+        with pytest.raises(ValueError, match="^malformed signal CSV: row 2500 is not numeric$"):
+            sigio.read_signal_csv(path)
+
     def test_long_table_round_trips(self, tmp_path):
         s = _signal(3, n=5000)
         path = tmp_path / "signal_x.csv"

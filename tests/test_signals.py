@@ -54,6 +54,8 @@ class TestComplexSignal:
             ComplexSignal(np.array([1.0, np.nan]), FS)
         with pytest.raises(ValueError):
             ComplexSignal(np.array([1.0 + 1j * np.inf]), FS)
+        with pytest.raises(ValueError):
+            ComplexSignal(np.array([-np.inf + 0j, 1j * np.nan]), FS)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -369,6 +371,34 @@ class TestGenerateBaseband:
         msg = SymbolStream.random(Constellation.QPSK, 4, seed=0)
         with pytest.raises(ValueError):
             generate_baseband(msg, 0, "rectangular", sample_rate_hz=FS)
+
+    @pytest.mark.parametrize("n_samples", [4096, 65536])
+    def test_default_config_matches_zero_stuffed_convolution_bitwise(self, n_samples):
+        # the scenarios' default: QPSK, 64 samples per symbol, rolloff 0.25
+        msg = SymbolStream.random(Constellation.QPSK, n_samples // 64, seed=42)
+        bb = generate_baseband(msg, 64, "raised_cosine", rolloff=0.25, sample_rate_hz=65536.0)
+        assert bb.samples.tobytes() == _zero_stuffed(msg, 64, 0.25).tobytes()
+
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("sps", [1, 2, 3, 16, 64])
+    @pytest.mark.parametrize("constellation", list(Constellation))
+    def test_matches_zero_stuffed_convolution(self, constellation, sps, rolloff):
+        msg = SymbolStream.random(constellation, 96, seed=sps)
+        bb = generate_baseband(msg, sps, "raised_cosine", rolloff=rolloff, sample_rate_hz=FS)
+        ref = _zero_stuffed(msg, sps, rolloff)
+        assert np.max(np.abs(bb.samples - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _zero_stuffed(msg, sps, rolloff):
+    """Raised-cosine shaping by its definition: the symbols, spaced ``sps``
+    samples apart with zeros between them, convolved with the pulse and
+    trimmed to the pulse's center."""
+    pulse = raised_cosine_pulse(sps, rolloff)
+    n_out = msg.symbols.size * sps
+    upsampled = np.zeros(n_out, dtype=np.complex128)
+    upsampled[::sps] = msg.symbols
+    delay = (pulse.size - 1) // 2
+    return np.convolve(upsampled, pulse)[delay : delay + n_out]
 
 
 class TestRaisedCosinePulse:
