@@ -36,7 +36,6 @@ from .scenarios import (
     RunReport,
     ScenarioConfig,
     Verdict,
-    compare_chains,
     execute_scenario,
     run_scenario,
     verify_run,
@@ -93,7 +92,6 @@ __all__ = [
     "band_energy",
     "band_move",
     "band_report",
-    "compare_chains",
     "complex_demodulate",
     "complex_modulate",
     "conj_mirror_correlation",

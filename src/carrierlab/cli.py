@@ -68,6 +68,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report = run_scenario(cfg, out_dir)
     except ValueError as exc:
         return _config_error(exc)
+    except OSError as exc:  # --out names a file, or a path under one
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.to_text())
     print(f"artifacts written to {out_dir}")
     return 0 if report.passed else 1
@@ -81,7 +84,7 @@ def _cmd_list() -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if not out.exists():
+    if not out.is_dir():
         print(f"verify error: no such directory {out}", file=sys.stderr)
         return 2
     ok, messages = verify_run(out)

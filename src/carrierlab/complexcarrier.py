@@ -24,14 +24,19 @@ def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal
     """Shift the baseband to the carrier's signed frequency.
 
     Energy is conserved and the output occupies a single band (negative for
-    a negative carrier, positive for a positive one).
+    a negative carrier, positive for a positive one).  This is the one
+    guarded shift: it raises ValueError when the moved content would leave
+    ``[-fs/2, fs/2)``; a zero shift and an all-zero signal are never checked.
     """
-    b = occupied_bandwidth(bb)
-    if abs(carrier.frequency_hz) + b / 2 >= bb.sample_rate_hz / 2:
-        raise ValueError(
-            f"carrier at {carrier.frequency_hz} Hz with baseband width {b} Hz "
-            f"violates the Nyquist limit for sample rate {bb.sample_rate_hz} Hz"
-        )
+    f = carrier.frequency_hz
+    if not energy_is_zero(bb) and f != 0.0:
+        lo, hi = occupied_extent(bb)
+        nyq = bb.sample_rate_hz / 2
+        if lo + f < -nyq or hi + f >= nyq:
+            raise ValueError(
+                f"band move by {f} Hz would push content occupying "
+                f"[{lo}, {hi}] Hz past the Nyquist limit"
+            )
     return multiply(bb, oscillator(carrier, bb.n, bb.sample_rate_hz))
 
 
@@ -45,15 +50,7 @@ def complex_demodulate(cb: ComplexSignal, carrier: CarrierConfig) -> ComplexSign
 
 def band_move(s: ComplexSignal, delta_hz: float) -> ComplexSignal:
     """Translate the whole spectrum by ``delta_hz`` (zero-phase carrier)."""
-    if not energy_is_zero(s) and delta_hz != 0.0:
-        lo, hi = occupied_extent(s)
-        nyq = s.sample_rate_hz / 2
-        if lo + delta_hz < -nyq or hi + delta_hz >= nyq:
-            raise ValueError(
-                f"band move by {delta_hz} Hz would push content occupying "
-                f"[{lo}, {hi}] Hz past the Nyquist limit"
-            )
-    return multiply(s, oscillator(CarrierConfig(delta_hz), s.n, s.sample_rate_hz))
+    return complex_modulate(s, CarrierConfig(delta_hz))
 
 
 @dataclass(frozen=True)

@@ -44,18 +44,19 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     passband ripple stays well under 0.5 dB up to
     ``cutoff_hz - transition_hz/2``.
     """
-    if spec.cutoff_hz + spec.transition_hz >= sample_rate_hz / 2:
-        raise ValueError(
-            "cutoff_hz + transition_hz must stay below half the sample rate "
-            f"({spec.cutoff_hz} + {spec.transition_hz} vs {sample_rate_hz / 2})"
-        )
     numtaps, beta = kaiser_order(spec, sample_rate_hz)
     return _sig.firwin(numtaps, spec.cutoff_hz, window=("kaiser", beta), fs=sample_rate_hz)
 
 
 def kaiser_order(spec: FilterSpec, sample_rate_hz: float) -> tuple[int, float]:
     """Tap count and Kaiser beta of the design for ``spec``; raises ValueError
-    when the count exceeds ``MAX_TAPS``."""
+    when the filter band reaches half the sample rate or the count exceeds
+    ``MAX_TAPS``."""
+    if spec.cutoff_hz + spec.transition_hz >= sample_rate_hz / 2:
+        raise ValueError(
+            "cutoff_hz + transition_hz must stay below half the sample rate "
+            f"({spec.cutoff_hz} + {spec.transition_hz} vs {sample_rate_hz / 2})"
+        )
     numtaps, beta = _sig.kaiserord(spec.stopband_atten_db, spec.transition_hz / (sample_rate_hz / 2))
     numtaps |= 1  # odd length -> integer group delay
     if numtaps > MAX_TAPS:
@@ -78,4 +79,4 @@ def apply_filter(s: ComplexSignal, taps: np.ndarray) -> ComplexSignal:
     half = (taps.size - 1) // 2
     full = np.convolve(s.samples, taps)
     out = full[half : half + s.n]
-    return ComplexSignal(out, s.sample_rate_hz, s.t0_s, transient=s.transient + half)
+    return ComplexSignal(out, s.sample_rate_hz, transient=s.transient + half)

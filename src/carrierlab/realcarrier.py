@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .complexcarrier import complex_modulate
 from .filters import FilterSpec, apply_filter, design_lowpass
 from .signals import CarrierConfig, ComplexSignal, multiply, oscillator, real_part
 from .spectrum import occupied_bandwidth
@@ -22,7 +23,8 @@ def real_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
     """Mix the baseband up to the carrier and keep only the real part.
 
     The output's imaginary part is exactly zero and its spectrum occupies
-    both bands around +/- carrier, each holding half the energy.
+    both bands around +/- carrier, each holding half the energy.  The shift
+    itself is ``complex_modulate``'s, guard included.
     """
     f_c = carrier.frequency_hz
     b = occupied_bandwidth(bb)
@@ -31,12 +33,7 @@ def real_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
             f"baseband bandwidth {b} Hz overlaps the carrier at {f_c} Hz; "
             "real-carrier modulation needs bandwidth below |carrier|"
         )
-    if abs(f_c) + b / 2 >= bb.sample_rate_hz / 2:
-        raise ValueError(
-            f"carrier at {f_c} Hz with baseband width {b} Hz violates the "
-            f"Nyquist limit for sample rate {bb.sample_rate_hz} Hz"
-        )
-    return real_part(multiply(bb, oscillator(carrier, bb.n, bb.sample_rate_hz)))
+    return real_part(complex_modulate(bb, carrier))
 
 
 def real_demodulate(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -125,11 +125,9 @@ class ScenarioConfig:
             raise ValueError("guard_hz cannot be negative")
         if self.f_c_hz + (1 + self.rolloff) * self.symbol_rate_hz / 2 >= self.sample_rate_hz / 2:
             raise ValueError("f_c_hz plus the shaped bandwidth violates the Nyquist limit")
-        spec = self.filter_spec()  # FilterSpec invariants
-        if spec.cutoff_hz + spec.transition_hz >= self.sample_rate_hz / 2:
-            raise ValueError("cutoff_hz + transition_hz must stay below half the sample rate")
         try:
-            kaiser_order(spec, self.sample_rate_hz)  # filter length within MAX_TAPS
+            # FilterSpec invariants, a band below fs/2, length within MAX_TAPS
+            kaiser_order(self.filter_spec(), self.sample_rate_hz)
         except ArithmeticError:  # the length estimate itself overflows
             raise ValueError(f"filter design needs over {MAX_TAPS} taps") from None
         self.channel_config()  # ChannelConfig invariants
@@ -644,12 +642,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     return report
 
 
-def compare_chains(cfg: ScenarioConfig) -> RunReport:
-    """Energy/EVM ledger of the real-carrier chain vs the dual complex chain."""
-    report, _ = execute_scenario(replace(cfg, scenario="compare"))
-    return report
-
-
 #: a stored artifact value may differ from its recomputed value by this
 #: fraction of the recomputed column's peak magnitude (0 for an all-zero column)
 ARTIFACT_RTOL = 1e-9
@@ -737,11 +729,6 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         divergence = _text_divergence(stored, lines)
         if divergence is not None:
             messages.append(f"{name} {divergence}")
-    stored_list, fresh_list = (
-        [line for line in text.splitlines() if line.startswith("artifact: ")] for text in (report_text, fresh.to_text())
-    )
-    if stored_list != fresh_list:
-        messages.append("artifact list differs from a fresh execution")
     for name, (kind, data) in artifacts.items():
         path = out / name
         if not path.exists():

@@ -111,22 +111,6 @@ def taps_csv_text(taps: np.ndarray) -> str:
     return _csv_text("taps", taps)
 
 
-def write_signal_csv(path: Path, s: ComplexSignal) -> None:
-    Path(path).write_text(signal_csv_text(s))
-
-
-def write_spectrum_csv(path: Path, sp: Spectrum) -> None:
-    Path(path).write_text(spectrum_csv_text(sp))
-
-
-def write_pair_csv(path: Path, p: PolarizedPair) -> None:
-    Path(path).write_text(pair_csv_text(p))
-
-
-def write_taps_csv(path: Path, taps: np.ndarray) -> None:
-    Path(path).write_text(taps_csv_text(taps))
-
-
 def _line_blocks(text: str) -> Iterator[list[str]]:
     """``text.splitlines()`` in blocks of at least ``BLOCK_CHARS``
     characters, so the whole file's line list never exists beside the text.

@@ -6,7 +6,7 @@ new signal, so everything here is safe to share across threads.
 
 Two conventions matter throughout:
 
-* The time base is index-based, ``t_k = t0_s + k / sample_rate_hz``, so the
+* The time base is index-based, ``t_k = k / sample_rate_hz``, so the
   algebraic identities between oscillators hold exactly at sample instants.
 * Oscillator phase is computed from the cycle count reduced to the nearest
   whole cycle, ``2*pi * (f*k/fs - round(f*k/fs))``, instead of the raw
@@ -41,14 +41,12 @@ class ComplexSignal:
     Attributes:
         samples: complex128 array, length >= 1, all values finite.
         sample_rate_hz: sampling rate, > 0.
-        t0_s: time of the first sample.
         transient: number of leading and trailing samples contaminated by
             filter edge effects; 0 for freshly generated signals.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
-    t0_s: float = 0.0
     transient: int = 0
 
     def __post_init__(self) -> None:
@@ -71,12 +69,8 @@ class ComplexSignal:
     def n(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_s(self) -> float:
-        return self.n / self.sample_rate_hz
-
     def time_axis(self) -> np.ndarray:
-        return self.t0_s + np.arange(self.n) / self.sample_rate_hz
+        return np.arange(self.n) / self.sample_rate_hz
 
     def steady(self) -> np.ndarray:
         """Samples with the transient edges removed."""
@@ -172,14 +166,12 @@ def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> Complex
 
 def conjugate(s: ComplexSignal) -> ComplexSignal:
     """Elementwise complex conjugate (flips rotation handedness)."""
-    return ComplexSignal(np.conj(s.samples), s.sample_rate_hz, s.t0_s, s.transient)
+    return ComplexSignal(np.conj(s.samples), s.sample_rate_hz, transient=s.transient)
 
 
 def real_part(s: ComplexSignal) -> ComplexSignal:
     """Keep the real component; the output's imaginary part is exactly zero."""
-    return ComplexSignal(
-        s.samples.real.astype(np.complex128), s.sample_rate_hz, s.t0_s, s.transient
-    )
+    return ComplexSignal(s.samples.real.astype(np.complex128), s.sample_rate_hz, transient=s.transient)
 
 
 def _require_aligned(a: ComplexSignal, b: ComplexSignal, op: str) -> None:
@@ -189,29 +181,23 @@ def _require_aligned(a: ComplexSignal, b: ComplexSignal, op: str) -> None:
         raise ValueError(
             f"{op} requires equal sample rates: {a.sample_rate_hz} != {b.sample_rate_hz}"
         )
-    if a.t0_s != b.t0_s:
-        raise ValueError(f"{op} requires equal start times: {a.t0_s} != {b.t0_s}")
 
 
 def multiply(a: ComplexSignal, b: ComplexSignal) -> ComplexSignal:
     """Elementwise complex product."""
     _require_aligned(a, b, "multiply")
-    return ComplexSignal(
-        a.samples * b.samples, a.sample_rate_hz, a.t0_s, max(a.transient, b.transient)
-    )
+    return ComplexSignal(a.samples * b.samples, a.sample_rate_hz, transient=max(a.transient, b.transient))
 
 
 def add(a: ComplexSignal, b: ComplexSignal) -> ComplexSignal:
     """Elementwise sum."""
     _require_aligned(a, b, "add")
-    return ComplexSignal(
-        a.samples + b.samples, a.sample_rate_hz, a.t0_s, max(a.transient, b.transient)
-    )
+    return ComplexSignal(a.samples + b.samples, a.sample_rate_hz, transient=max(a.transient, b.transient))
 
 
 def scale(s: ComplexSignal, c: complex) -> ComplexSignal:
     """Multiply every sample by the scalar ``c``."""
-    return ComplexSignal(s.samples * c, s.sample_rate_hz, s.t0_s, s.transient)
+    return ComplexSignal(s.samples * c, s.sample_rate_hz, transient=s.transient)
 
 
 def steady_pair(x: ComplexSignal, y: ComplexSignal) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +214,14 @@ def energy(s: ComplexSignal) -> float:
     return float(np.sum(s.samples.real**2 + s.samples.imag**2) / s.sample_rate_hz)
 
 
-def raised_cosine_pulse(
-    samples_per_symbol: int, rolloff: float, span_symbols: int = RC_SPAN_SYMBOLS
-) -> np.ndarray:
+def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     """Time-domain raised-cosine pulse, peak 1 at t=0, truncated to
-    ``span_symbols`` symbol durations on each side."""
+    ``RC_SPAN_SYMBOLS`` symbol durations on each side."""
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be at least 1")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError("rolloff must lie in [0, 1]")
-    half = span_symbols * samples_per_symbol
+    half = RC_SPAN_SYMBOLS * samples_per_symbol
     t = np.arange(-half, half + 1, dtype=np.float64) / samples_per_symbol
     if rolloff == 0.0:
         return np.sinc(t)

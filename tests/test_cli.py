@@ -139,6 +139,18 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "fig11"])
 
+    @pytest.mark.parametrize("under", ["", "run"])
+    def test_out_on_a_file_exits_2_with_one_line(self, tmp_path, capsys, under):
+        # exit 1 would read as a failed check
+        existing = tmp_path / "taken"
+        existing.write_text("not a directory\n")
+        out = existing / under if under else existing
+        assert main(["run", "--scenario", "fig9", "--out", str(out)] + SMALL_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert err.count("\n") == 1
+        assert existing.read_text() == "not a directory\n"
+
 
 class TestVerify:
     def test_verify_fresh_run(self, tmp_path, capsys):
@@ -157,6 +169,14 @@ class TestVerify:
 
     def test_verify_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path / "ghost")]) == 2
+
+    def test_verify_on_a_file_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "report.txt"
+        path.write_text("verdict: pass\n")
+        assert main(["verify", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"verify error: no such directory {path}\n"
+        assert captured.out == ""
 
 
 _DEFAULTS = ScenarioConfig()

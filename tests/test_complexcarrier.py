@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carrierlab import (
@@ -28,6 +28,7 @@ from carrierlab import (
     energy,
     evm_db,
     generate_baseband,
+    multiply,
     occupied_bandwidth,
     oscillator,
     peak_frequency,
@@ -139,6 +140,44 @@ class TestBandMove:
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError):
             band_move(_tone(15000.0), +20000.0)
+
+
+def _drawn_signal(kind, f0, seed):
+    """An asymmetric two-tone signal, or a shaped baseband moved off DC by a
+    tone, at 4096 samples."""
+    n = 4096
+    if kind == "tones":
+        return add(_tone(f0, n=n), scale(_tone(-f0 / 3 + 5, n=n), 0.5))
+    return multiply(_shaped_baseband(seed=seed, n_symbols=64, sps=64), _tone(f0, n=n))
+
+
+class TestOneShiftGuard:
+    @given(
+        kind=st.sampled_from(["tones", "baseband"]),
+        f0=st.integers(min_value=-32767, max_value=32767).map(float),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shift=st.integers(min_value=-32767, max_value=32767).map(float),
+    )
+    @example(kind="tones", f0=-3000.0, seed=0, shift=31000.0)
+    @settings(max_examples=60)
+    def test_complex_modulate_is_band_move(self, kind, f0, seed, shift):
+        s = _drawn_signal(kind, f0, seed)
+        outcomes = []
+        for move in (lambda: complex_modulate(s, CarrierConfig(shift)), lambda: band_move(s, shift)):
+            try:
+                outcomes.append(move().samples.tobytes())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_tone_moved_up_to_near_nyquist_is_accepted(self):
+        # content at -3000 Hz lands at 28000 Hz, inside fs/2 = 32768 Hz
+        tone = _tone(-3000.0)
+        moved = complex_modulate(tone, CarrierConfig(31000.0))
+        assert peak_frequency(dft_two_sided(moved)) == 28000.0
+        np.testing.assert_array_equal(
+            real_modulate(tone, CarrierConfig(31000.0)).samples, real_part(moved).samples
+        )
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import carrierlab
-from carrierlab import ScenarioConfig, SCENARIOS, compare_chains, execute_scenario, run_scenario, verify_run
+from carrierlab import ScenarioConfig, SCENARIOS, execute_scenario, run_scenario, verify_run
 from carrierlab.scenarios import MAX_SAMPLES, parse_config_text
 from carrierlab import sigio
 
@@ -60,6 +60,7 @@ class TestScenarioConfig:
             (dict(sample_rate_hz=1e308, symbol_rate_hz=1e-300), "integer multiple"),
             (dict(n_samples=1 << 21), "n_samples must be at most 1048576"),
             (dict(n_samples=1 << 62), "n_samples must be at most 1048576"),
+            (dict(cutoff_hz=30000.0, transition_hz=4000.0), "below half the sample rate"),
         ],
     )
     def test_invalid_config_names_the_invariant(self, overrides, fragment):
@@ -134,7 +135,7 @@ class TestScenarioRuns:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_compare_chains_report(self):
-        report = compare_chains(small_config("fig4"))
+        report, _ = execute_scenario(small_config("compare"))
         assert report.scenario_id == "compare"
         assert report.passed
         names = {v.name for v in report.verdicts}
@@ -305,4 +306,7 @@ class TestVerifyRun:
         report_path.write_text(text)
         ok, messages = verify_run(fig9_run)
         assert not ok
-        assert "artifact list differs from a fresh execution" in messages
+        assert messages[0] == (
+            "report.txt line 4: stored 'artifact: spectrum_modulated.csv', "
+            "recomputed 'artifact: spectrum_baseband.csv'"
+        ), messages

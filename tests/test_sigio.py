@@ -13,14 +13,14 @@ FS = 256.0
 
 def _signal(seed=0, n=64):
     rng = np.random.default_rng(seed)
-    return ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), FS, t0_s=0.5)
+    return ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), FS)
 
 
 class TestSignalCsv:
     def test_round_trip_is_exact(self, tmp_path):
         s = _signal()
         path = tmp_path / "signal_x.csv"
-        sigio.write_signal_csv(path, s)
+        path.write_text(sigio.signal_csv_text(s))
         cols = sigio.read_signal_csv(path)
         np.testing.assert_array_equal(cols["re"], s.samples.real)
         np.testing.assert_array_equal(cols["im"], s.samples.imag)
@@ -56,7 +56,7 @@ class TestSpectrumCsv:
     def test_round_trip_values(self, tmp_path):
         sp = dft_two_sided(oscillator(CarrierConfig(16.0), 64, FS))
         path = tmp_path / "spectrum_x.csv"
-        sigio.write_spectrum_csv(path, sp)
+        path.write_text(sigio.spectrum_csv_text(sp))
         cols = sigio.read_spectrum_csv(path)
         np.testing.assert_array_equal(cols["freq_hz"], sp.freq_axis_hz)
         np.testing.assert_array_equal(cols["re"], sp.bins.real)
@@ -74,7 +74,7 @@ class TestPairCsv:
         rng = np.random.default_rng(2)
         pair = PolarizedPair(rng.standard_normal(32), rng.standard_normal(32), FS)
         path = tmp_path / "pair_x.csv"
-        sigio.write_pair_csv(path, pair)
+        path.write_text(sigio.pair_csv_text(pair))
         cols = sigio.read_pair_csv(path)
         np.testing.assert_array_equal(cols["comp_y"], pair.comp_y)
         np.testing.assert_array_equal(cols["comp_z"], pair.comp_z)
@@ -84,7 +84,7 @@ class TestTapsCsv:
     def test_round_trip(self, tmp_path):
         taps = np.array([0.25, 0.5, 0.25])
         path = tmp_path / "filter_taps.csv"
-        sigio.write_taps_csv(path, taps)
+        path.write_text(sigio.taps_csv_text(taps))
         np.testing.assert_array_equal(sigio.read_taps_csv(path)["tap"], taps)
 
     def test_header_enforced(self, tmp_path):
@@ -115,11 +115,11 @@ class TestParser:
         n = min(len(ys), len(zs))
         pair = PolarizedPair(np.array(ys[:n]), np.array(zs[:n]), FS)
         path = tmp_path_factory.getbasetemp() / "pair_bits.csv"
-        sigio.write_pair_csv(path, pair)
+        path.write_text(sigio.pair_csv_text(pair))
         cols = sigio.read_pair_csv(path)
         assert cols["comp_y"].tobytes() == pair.comp_y.tobytes()
         assert cols["comp_z"].tobytes() == pair.comp_z.tobytes()
-        sigio.write_taps_csv(path, pair.comp_y)
+        path.write_text(sigio.taps_csv_text(pair.comp_y))
         assert sigio.read_taps_csv(path)["tap"].tobytes() == pair.comp_y.tobytes()
 
     @pytest.mark.parametrize(
@@ -170,7 +170,7 @@ class TestParser:
     def test_long_table_round_trips(self, tmp_path):
         s = _signal(3, n=5000)
         path = tmp_path / "signal_x.csv"
-        sigio.write_signal_csv(path, s)
+        path.write_text(sigio.signal_csv_text(s))
         cols = sigio.read_signal_csv(path)
         np.testing.assert_array_equal(cols["re"], s.samples.real)
         np.testing.assert_array_equal(cols["index"], np.arange(s.n))

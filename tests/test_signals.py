@@ -82,8 +82,8 @@ class TestComplexSignal:
             s.steady()
 
     def test_time_axis(self):
-        s = ComplexSignal(np.ones(4), 2.0, t0_s=1.0)
-        np.testing.assert_allclose(s.time_axis(), [1.0, 1.5, 2.0, 2.5])
+        s = ComplexSignal(np.ones(4), 2.0)
+        np.testing.assert_allclose(s.time_axis(), [0.0, 0.5, 1.0, 1.5])
 
 
 class TestOscillator:
@@ -139,9 +139,9 @@ class TestConjugate:
         )
 
     def test_preserves_metadata(self):
-        s = ComplexSignal(np.ones(8), FS, t0_s=0.25, transient=1)
+        s = ComplexSignal(np.ones(8), FS, transient=1)
         c = conjugate(s)
-        assert (c.sample_rate_hz, c.t0_s, c.transient) == (FS, 0.25, 1)
+        assert (c.sample_rate_hz, c.transient) == (FS, 1)
 
 
 class TestMultiply:
@@ -185,7 +185,6 @@ class TestMultiply:
         [
             ComplexSignal(np.ones(3), FS),
             ComplexSignal(np.ones(4), 2 * FS),
-            ComplexSignal(np.ones(4), FS, t0_s=1.0),
         ],
     )
     def test_mismatch_rejected(self, other):
