@@ -626,19 +626,37 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[st
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
-    """Run a scenario and write its artifacts plus report.txt to ``out_dir``."""
+    """Run a scenario and write its artifacts plus report.txt to ``out_dir``.
+
+    An ``OSError`` while writing removes every file this call opened before
+    it propagates, so a failed run leaves no partial run behind.
+    """
     report, artifacts = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (kind, data) in artifacts.items():
-        if kind == "config":
-            text = data.to_text()
-        else:
-            # looked up on the module at each call, so that wrappers installed
-            # there for profiling see every write
-            text = getattr(sigio, f"{kind}_csv_text")(data)
-        (out / name).write_text(text)
-    (out / "report.txt").write_text(report.to_text())
+    written: list[Path] = []
+
+    def write(name: str, text: str) -> None:
+        with open(out / name, "w") as fh:
+            written.append(out / name)
+            fh.write(text)
+
+    try:
+        # each artifact is formatted just before it is written, so that only
+        # one file's text is held at a time
+        for name, (kind, data) in artifacts.items():
+            if kind == "config":
+                text = data.to_text()
+            else:
+                # looked up on the module at each call, so that wrappers
+                # installed there for profiling see every write
+                text = getattr(sigio, f"{kind}_csv_text")(data)
+            write(name, text)
+        write("report.txt", report.to_text())
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return report
 
 

@@ -15,6 +15,14 @@ Two conventions matter throughout:
   keeps multi-step frequency-shift identities below 1e-12 per sample even
   after one second of accumulated phase, and makes negating the frequency
   an exact conjugation.
+* On that grid -- integer frequency, zero initial phase, and a power-of-two
+  rate of at most ``CARRIER_TABLE_MAX_RATE_HZ`` -- ``oscillator`` gathers its
+  samples from a memoised table instead of calling ``np.exp`` per sample.
+  ``f*k/fs`` is then exact, and its reduced count repeats every two cycles
+  (round-half-to-even sends the half-cycle tie down after an even whole
+  count and up after an odd one), so entry ``(f*k) mod 2*fs`` is the
+  ``np.exp`` of the very double the formula would pass it: the bits are
+  the same as the formula's.
 
 Symbol generation uses numpy's PCG64 generator, seeded explicitly: the same
 seed yields the same symbols on every platform and run.
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from scipy.signal import upfirdn
@@ -148,20 +157,72 @@ class SymbolStream:
         return cls(points[idx], constellation, seed)
 
 
+#: Largest sample rate whose on-grid oscillators are gathered from a table;
+#: the table holds two cycles, 2 MiB at this rate.
+CARRIER_TABLE_MAX_RATE_HZ = 2**16
+_TABLE_BLOCK = 4096
+
+
+def _carrier(cycles: np.ndarray, phase_rad: float) -> np.ndarray:
+    """``exp(1j*(2*pi*(c - round(c)) + phase))`` for each cycle count ``c``."""
+    return np.exp(1j * (TWO_PI * (cycles - np.round(cycles)) + phase_rad))
+
+
+@cache
+def _carrier_table(fs: int) -> np.ndarray:
+    """Read-only ``_carrier(j/fs, 0.0)`` for ``j`` in ``[0, 2*fs)``, ``fs``
+    a power of two.
+
+    Only the first cycle and the second cycle's half-cycle tie are
+    evaluated: elsewhere ``c + 1 - round(c + 1)`` is ``c - round(c)``, but
+    the tie at ``c = 1.5`` rounds to 2 where the one at 0.5 rounds to 0.
+    """
+    table = np.empty(2 * fs, dtype=np.complex128)
+    # evaluated in blocks, so that the temporaries stay small beside the table
+    for lo in range(0, fs, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, fs)
+        table[lo:hi] = _carrier(np.arange(lo, hi) / fs, 0.0)
+    table[fs:] = table[:fs]
+    tie = fs + fs // 2
+    table[tie] = _carrier(np.array([tie / fs]), 0.0)[0]
+    table.setflags(write=False)
+    return table
+
+
 def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> ComplexSignal:
     """Unit-modulus complex exponential: sample k is
-    ``exp(1j*(2*pi*f*k/fs + phase))``."""
+    ``exp(1j*(2*pi*f*k/fs + phase))``, computed as
+    ``exp(1j*(2*pi*(c - round(c)) + phase))`` with ``c = f*k/fs``.
+
+    When ``f`` is an integer, the phase is zero (of either sign) and ``fs``
+    is a power of two no larger than ``CARRIER_TABLE_MAX_RATE_HZ``, sample k
+    is entry ``(f*k) mod 2*fs`` of a memoised table of that same formula at
+    ``c = j/fs``.  ``f*k/fs`` is exact there and ``c - round(c)`` depends only
+    on ``c`` mod 2, since round-half-to-even looks at the parity of the
+    whole-cycle count; so each sample is the same double through the same
+    ``np.exp``, bit for bit.  Any other input evaluates the formula.
+    """
     if n < 1:
         raise ValueError("oscillator sample count must be at least 1")
-    if not abs(carrier.frequency_hz) < sample_rate_hz / 2:
+    f = carrier.frequency_hz
+    if not abs(f) < sample_rate_hz / 2:
         raise ValueError(
-            f"carrier frequency {carrier.frequency_hz} Hz violates the Nyquist "
+            f"carrier frequency {f} Hz violates the Nyquist "
             f"limit for sample rate {sample_rate_hz} Hz"
         )
+    fs = int(sample_rate_hz) if float(sample_rate_hz).is_integer() else 0
+    if (
+        carrier.initial_phase_rad == 0
+        and float(f).is_integer()
+        and 0 < fs <= CARRIER_TABLE_MAX_RATE_HZ
+        and fs & (fs - 1) == 0
+    ):
+        index = int(f) * np.arange(n, dtype=np.int64)
+        index &= 2 * fs - 1
+        return ComplexSignal(_carrier_table(fs)[index], sample_rate_hz)
     k = np.arange(n, dtype=np.float64)
-    cycles = (carrier.frequency_hz * k) / sample_rate_hz
-    phase = TWO_PI * (cycles - np.round(cycles)) + carrier.initial_phase_rad
-    return ComplexSignal(np.exp(1j * phase), sample_rate_hz)
+    cycles = (f * k) / sample_rate_hz
+    return ComplexSignal(_carrier(cycles, carrier.initial_phase_rad), sample_rate_hz)
 
 
 def conjugate(s: ComplexSignal) -> ComplexSignal:

@@ -151,6 +151,17 @@ class TestRun:
         assert err.count("\n") == 1
         assert existing.read_text() == "not a directory\n"
 
+    def test_failed_write_leaves_no_partial_run(self, tmp_path, capsys):
+        out = tmp_path / "fig9"
+        (out / "report.txt").mkdir(parents=True)
+        flags = ["--scenario", "fig9", "--n-samples", "4096", "--out", str(out)]
+        assert main(["run"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
+        assert (out / "report.txt").is_dir()
+
 
 class TestVerify:
     def test_verify_fresh_run(self, tmp_path, capsys):

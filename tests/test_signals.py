@@ -22,6 +22,7 @@ from carrierlab import (
     raised_cosine_pulse,
     real_part,
     scale,
+    signals,
 )
 
 FS = 4096.0
@@ -121,6 +122,61 @@ class TestOscillator:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             oscillator(CarrierConfig(1.0), 0, FS)
+
+
+def _documented_carrier(f, n, fs, phase=0.0):
+    """The oscillator formula as documented, evaluated sample by sample."""
+    k = np.arange(n, dtype=np.float64)
+    cycles = (f * k) / fs
+    return np.exp(1j * (2.0 * np.pi * (cycles - np.round(cycles)) + phase))
+
+
+class TestOscillatorTable:
+    """On-grid oscillators come from a table; their bits must be the formula's."""
+
+    @pytest.mark.parametrize("log2_fs", range(2, 17))
+    def test_on_grid_is_bitwise_the_formula(self, log2_fs):
+        fs = 2**log2_fs
+        half = fs // 2
+        rng = np.random.default_rng(log2_fs)
+        freqs = [-0.0, 1.0, -1.0, fs / 4, -fs / 4, half - 1.0, 1.0 - half]
+        freqs += [float(f) for f in rng.integers(1 - half, half, size=6)]
+        tie_counts = set()
+        for f in freqs:
+            for n in (1, 7, 4096, 65536):
+                expected = _documented_carrier(f, n, float(fs)).tobytes()
+                for phase in (0.0, -0.0):
+                    got = oscillator(CarrierConfig(f, phase), n, float(fs)).samples
+                    assert got.tobytes() == expected, (f, n, phase)
+                cycles = f * np.arange(n) / fs
+                ties = cycles[cycles - np.floor(cycles) == 0.5]
+                tie_counts.update(np.floor(ties).astype(np.int64) % 2)
+        # half-cycle ties after an even and after an odd whole-cycle count
+        # round opposite ways; both must have been compared
+        assert tie_counts == {0, 1}
+
+    @pytest.mark.parametrize(
+        "f, fs, phase",
+        [
+            (1000.5, 4096.0, 0.0),  # non-integer frequency
+            (1024.0, 4096.0, 0.7),  # nonzero phase
+            (-1.0, 4096.0, -1e-300),
+            (12000.0, 48000.0, 0.0),  # not a power of two
+            (16384.0, 2.0**17, 0.0),  # above the table's rate cap
+            (-65535.0, 2.0**17, 0.0),
+        ],
+    )
+    def test_off_grid_is_bitwise_the_formula(self, f, fs, phase):
+        for n in (1, 7, 4096):
+            got = oscillator(CarrierConfig(f, phase), n, fs).samples
+            assert got.tobytes() == _documented_carrier(f, n, fs, phase).tobytes()
+
+    def test_table_is_read_only(self):
+        oscillator(CarrierConfig(3.0), 8, 64.0)
+        table = signals._carrier_table(64)
+        assert table.shape == (128,)
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 class TestConjugate:
