@@ -722,7 +722,8 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     (measured values at 1e-9, all other text exactly) and ``config.txt`` the
     canonical text of its configuration.  Every artifact must exist, parse,
     and match the recomputed table row by row (at ``ARTIFACT_RTOL`` of each
-    column's peak), and every verdict must pass."""
+    column's peak), and every verdict must pass.  A file that exists but
+    cannot be read fails the run with one message naming it."""
     out = Path(out_dir)
     report_path = out / "report.txt"
     if not report_path.exists():
@@ -730,8 +731,15 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     config_path = out / "config.txt"
     if not config_path.exists():
         return False, ["missing artifact: config.txt"]
-    # undecodable bytes become U+FFFD, which no fresh line contains
-    config_text = config_path.read_text(errors="replace")
+    try:
+        # undecodable bytes become U+FFFD, which no fresh line contains
+        report_text = report_path.read_text(errors="replace")
+    except OSError as exc:
+        return False, [f"report.txt unreadable: {exc}"]
+    try:
+        config_text = config_path.read_text(errors="replace")
+    except OSError as exc:
+        return False, [f"artifact config.txt unreadable: {exc}"]
     try:
         cfg = ScenarioConfig.from_mapping(parse_config_text(config_text))
         fresh, artifacts = execute_scenario(cfg)
@@ -739,7 +747,6 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         return False, [f"stored configuration does not execute: {exc}"]
 
     messages: list[str] = []
-    report_text = report_path.read_text(errors="replace")
     for name, stored, lines in (
         ("report.txt", report_text, fresh.lines()),
         ("config.txt", config_text, [(line, "", "") for line in cfg.to_text().splitlines()]),
@@ -758,6 +765,9 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
             parsed = getattr(sigio, f"read_{kind}_csv")(path)  # on the module, as in run_scenario
         except ValueError as exc:
             messages.append(f"artifact {name} failed schema check: {exc}")
+            continue
+        except OSError as exc:
+            messages.append(f"artifact {name} unreadable: {exc}")
             continue
         divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
         if divergence is not None:

@@ -6,7 +6,9 @@ the same configuration produce byte-identical files.
 
 Every artifact kind is one entry of ``SCHEMAS``: a header and the columns it
 extracts from its object.  Writing, reading and comparing all go through
-that table.
+that table.  No table writes a column that its other columns and the run's
+configuration determine (magnitude, bin energy, time); README.md gives the
+formulas that rebuild them.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from .polarization import PolarizedPair
 from .signals import ComplexSignal
 from .spectrum import Spectrum
 
-SIGNAL_HEADER = "index,t_s,re,im"
-SPECTRUM_HEADER = "freq_hz,re,im,magnitude,energy"
-PAIR_HEADER = "index,t_s,comp_y,comp_z"
+SIGNAL_HEADER = "index,re,im"
+SPECTRUM_HEADER = "freq_hz,re,im"
+PAIR_HEADER = "index,comp_y,comp_z"
 TAPS_HEADER = "k,tap"
 
 #: rows formatted in one batch; a whole file at once holds a Python object
 #: per cell and raises peak memory
 BLOCK_ROWS = 256
-#: characters parsed in one batch (about 350 spectrum rows), for the same
+#: characters parsed in one batch (about 700 spectrum rows), for the same
 #: reason; cut by size, since finding every row's end costs a call per row
 BLOCK_CHARS = 1 << 15
 
@@ -53,17 +55,17 @@ SCHEMAS = {
     "signal": Schema(
         SIGNAL_HEADER,
         "signal",
-        lambda s: (np.arange(s.n), s.time_axis(), s.samples.real, s.samples.imag),
+        lambda s: (np.arange(s.n), s.samples.real, s.samples.imag),
     ),
     "spectrum": Schema(
         SPECTRUM_HEADER,
         "spectrum",
-        lambda sp: (sp.freq_axis_hz, sp.bins.real, sp.bins.imag, np.abs(sp.bins), sp.bin_energies()),
+        lambda sp: (sp.freq_axis_hz, sp.bins.real, sp.bins.imag),
     ),
     "pair": Schema(
         PAIR_HEADER,
         "polarized pair",
-        lambda p: (np.arange(p.n), np.arange(p.n) / p.sample_rate_hz, p.comp_y, p.comp_z),
+        lambda p: (np.arange(p.n), p.comp_y, p.comp_z),
     ),
     "taps": Schema(
         TAPS_HEADER,
@@ -169,7 +171,7 @@ def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
 
 
 def read_signal_csv(path: Path) -> dict[str, np.ndarray]:
-    """Parse a signal dump into columns ``index``, ``t_s``, ``re``, ``im``."""
+    """Parse a signal dump into columns ``index``, ``re``, ``im``."""
     return _read_table("signal", path)
 
 

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carrierlab
 from carrierlab import ScenarioConfig, SCENARIOS, execute_scenario, run_scenario, verify_run
+from carrierlab.cli import main
 from carrierlab.scenarios import MAX_SAMPLES, parse_config_text
 from carrierlab import sigio
 
@@ -253,6 +255,53 @@ class TestVerifyRun:
         assert not ok
         assert "report.txt line 15: stored '\ufffd', recomputed nothing" in messages
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            pytest.param("report.txt", "report.txt unreadable: ", id="report.txt"),
+            pytest.param("config.txt", "artifact config.txt unreadable: ", id="config.txt"),
+            pytest.param(
+                "spectrum_baseband.csv", "artifact spectrum_baseband.csv unreadable: ", id="spectrum_baseband.csv"
+            ),
+        ],
+    )
+    def test_unreadable_file_named(self, fig9_run, capsys, name, expected):
+        (fig9_run / name).unlink()
+        (fig9_run / name).mkdir()
+        assert main(["verify", "--out", str(fig9_run)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith(expected + "[Errno "), lines
+        assert lines[1] == "verify: fail"
+
+    def test_run_in_the_older_schema_fails_verify(self, fig9_run):
+        # the five- and four-column tables runs wrote before magnitude, energy
+        # and t_s were dropped; verify names each such CSV by its header
+        older = {
+            "spectrum": (
+                "freq_hz,re,im,magnitude,energy",
+                lambda sp: (sp.freq_axis_hz, sp.bins.real, sp.bins.imag, np.abs(sp.bins), sp.bin_energies()),
+            ),
+            "signal": (
+                "index,t_s,re,im",
+                lambda s: (np.arange(s.n), s.time_axis(), s.samples.real, s.samples.imag),
+            ),
+        }
+        _, artifacts = execute_scenario(small_config("fig9"))
+        expected = []
+        for name, (kind, data) in artifacts.items():
+            if kind == "config":
+                continue
+            header, columns = older[kind]
+            rows = zip(*(col.tolist() for col in columns(data)))
+            (fig9_run / name).write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+            schema = sigio.SCHEMAS[kind]
+            expected.append(
+                f"artifact {name} failed schema check: malformed {schema.what} CSV: expected header {schema.header!r}"
+            )
+        ok, messages = verify_run(fig9_run)
+        assert not ok
+        assert messages == expected
+
     def test_tampered_config_detected(self, fig9_run):
         config_path = fig9_run / "config.txt"
         config_path.write_text(config_path.read_text().replace("seed = 42", "seed = 43"))
@@ -310,3 +359,35 @@ class TestVerifyRun:
             "report.txt line 4: stored 'artifact: spectrum_modulated.csv', "
             "recomputed 'artifact: spectrum_baseband.csv'"
         ), messages
+
+
+class TestDroppedColumns:
+    """The README's formulas rebuild the columns that artifacts no longer
+    write from a dump and the run's config.txt, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({}, id="65536Hz"),
+            pytest.param(
+                dict(sample_rate_hz=48000.0, symbol_rate_hz=750.0, f_c_hz=6000.0, guard_hz=375.0), id="48000Hz"
+            ),
+        ],
+    )
+    def test_rebuilt_bitwise(self, tmp_path, overrides):
+        cfg = ScenarioConfig(scenario="fig9", n_samples=4096, **overrides)
+        run_scenario(cfg, tmp_path)
+        stored = parse_config_text((tmp_path / "config.txt").read_text())
+        n_samples, sample_rate_hz = int(stored["n_samples"]), float(stored["sample_rate_hz"])
+        _, artifacts = execute_scenario(cfg)
+        assert {"spectrum", "signal"} <= {kind for kind, _ in artifacts.values()}
+        for name, (kind, data) in artifacts.items():
+            if kind == "spectrum":
+                cols = sigio.read_spectrum_csv(tmp_path / name)
+                re_, im = cols["re"], cols["im"]
+                assert np.abs(re_ + 1j * im).tobytes() == np.abs(data.bins).tobytes(), name
+                energy = (re_**2 + im**2) / (n_samples * sample_rate_hz)
+                assert energy.tobytes() == data.bin_energies().tobytes(), name
+            elif kind == "signal":
+                cols = sigio.read_signal_csv(tmp_path / name)
+                assert (cols["index"] / sample_rate_hz).tobytes() == data.time_axis().tobytes(), name
