@@ -39,8 +39,8 @@ class PolarizedPair:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        comp_y = np.asarray(self.comp_y, dtype=np.float64)
-        comp_z = np.asarray(self.comp_z, dtype=np.float64)
+        comp_y = np.array(self.comp_y, dtype=np.float64)
+        comp_z = np.array(self.comp_z, dtype=np.float64)
         if comp_y.ndim != 1 or comp_z.ndim != 1:
             raise ValueError("field components must be one-dimensional")
         if comp_y.size != comp_z.size:
@@ -51,9 +51,7 @@ class PolarizedPair:
             raise ValueError("sample_rate_hz must be positive")
         if not np.all(np.isfinite(comp_y)) or not np.all(np.isfinite(comp_z)):
             raise ValueError("field components must be finite")
-        comp_y = comp_y.copy()
         comp_y.setflags(write=False)
-        comp_z = comp_z.copy()
         comp_z.setflags(write=False)
         object.__setattr__(self, "comp_y", comp_y)
         object.__setattr__(self, "comp_z", comp_z)
@@ -102,11 +100,13 @@ def transmit(p: PolarizedPair, ch: ChannelConfig) -> PolarizedPair:
     ``noise_sigma``; all noise draws are deterministic under the seed.
     """
     rng = np.random.Generator(np.random.PCG64(ch.seed))
-    noise_y = ch.noise_sigma * rng.standard_normal(p.n)
-    noise_z = ch.noise_sigma * rng.standard_normal(p.n)
     keep = 1.0 - ch.crosstalk
-    out_y = keep * p.comp_y + ch.crosstalk * p.comp_z + noise_y
-    out_z = keep * p.comp_z + ch.crosstalk * p.comp_y + noise_z
+    # an overflow leaves Inf or NaN behind, which PolarizedPair rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise_y = ch.noise_sigma * rng.standard_normal(p.n)
+        noise_z = ch.noise_sigma * rng.standard_normal(p.n)
+        out_y = keep * p.comp_y + ch.crosstalk * p.comp_z + noise_y
+        out_z = keep * p.comp_z + ch.crosstalk * p.comp_y + noise_z
     return PolarizedPair(out_y, out_z, p.sample_rate_hz)
 
 

@@ -455,11 +455,12 @@ def _build_group_laws(cfg: ScenarioConfig):
         # composition orders bit-comparable in double precision
         f1 = float(rng.integers(-f_cap, f_cap + 1))
         f2 = float(rng.integers(-f_cap, f_cap + 1))
-        via = band_move(band_move(s, f1), f2)
+        moved = band_move(s, f1)
+        via = band_move(moved, f2)
         max_add = max(max_add, _max_diff(via, band_move(s, f1 + f2)))
         max_comm = max(max_comm, _max_diff(via, band_move(band_move(s, f2), f1)))
         max_ident = max(max_ident, _max_diff(band_move(s, 0.0), s))
-        max_inv = max(max_inv, _max_diff(band_move(band_move(s, f1), -f1), s))
+        max_inv = max(max_inv, _max_diff(band_move(moved, -f1), s))
 
     f0 = cfg.f_c_hz
     tone = oscillator(CarrierConfig(-f0), cfg.n_samples, cfg.sample_rate_hz)
@@ -558,20 +559,17 @@ def _build_polarization(cfg: ScenarioConfig):
     n, fs = cfg.n_samples, cfg.sample_rate_hz
     tone_r = oscillator(CarrierConfig(+cfg.f_c_hz), n, fs)
     tone_l = oscillator(CarrierConfig(-cfg.f_c_hz), n, fs)
-    linear = real_part(tone_r)
-
-    received = {}
-    for name, sig in (("r", tone_r), ("l", tone_l), ("linear", linear)):
-        received[name] = transmit(to_polarized(sig), channel)
+    pairs = {"r": to_polarized(tone_r), "l": to_polarized(tone_l), "linear": to_polarized(real_part(tone_r))}
+    received = {name: transmit(pair, channel) for name, pair in pairs.items()}
 
     handed = {name: detect_handedness(pair) for name, pair in received.items()}
-    round_trip = from_polarized(to_polarized(tone_r))
-    bitwise = round_trip.samples.tobytes() == tone_r.samples.tobytes()
-    energy_match = pair_energy(to_polarized(tone_r)) == energy(tone_r)
+    bitwise = from_polarized(pairs["r"]).samples.tobytes() == tone_r.samples.tobytes()
+    tone_energy, field_energy = energy(tone_r), pair_energy(pairs["r"])
+    energy_match = field_energy == tone_energy
 
     metrics = {
-        "energy.tone": energy(tone_r),
-        "energy.pair": pair_energy(to_polarized(tone_r)),
+        "energy.tone": tone_energy,
+        "energy.pair": field_energy,
         "channel.noise_sigma": channel.noise_sigma,
         "channel.crosstalk": channel.crosstalk,
     }

@@ -59,7 +59,7 @@ class ComplexSignal:
     transient: int = 0
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = np.array(self.samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise ValueError("samples must be a one-dimensional sequence")
         if samples.size < 1:
@@ -70,7 +70,6 @@ class ComplexSignal:
             raise ValueError("signal samples must be finite (no NaN/Inf)")
         if self.transient < 0:
             raise ValueError("transient sample count cannot be negative")
-        samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -130,19 +129,17 @@ for _pts in _CONSTELLATION_POINTS.values():
 
 @dataclass(frozen=True, eq=False)
 class SymbolStream:
-    """A baseband message: constellation symbols plus the seed they came from."""
+    """A baseband message: symbols drawn from one constellation."""
 
     symbols: np.ndarray
     constellation: Constellation
-    seed: int
 
     def __post_init__(self) -> None:
-        symbols = np.asarray(self.symbols, dtype=np.complex128)
+        symbols = np.array(self.symbols, dtype=np.complex128)
         if symbols.ndim != 1 or symbols.size < 1:
             raise ValueError("a symbol stream must contain at least one symbol")
         if not np.all(np.isin(symbols, self.constellation.points)):
             raise ValueError(f"symbols contain points outside the {self.constellation.value} set")
-        symbols = symbols.copy()
         symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
 
@@ -154,7 +151,7 @@ class SymbolStream:
         rng = np.random.Generator(np.random.PCG64(seed))
         points = constellation.points
         idx = rng.integers(0, points.size, size=count)
-        return cls(points[idx], constellation, seed)
+        return cls(points[idx], constellation)
 
 
 #: Largest sample rate whose on-grid oscillators are gathered from a table;
@@ -232,7 +229,7 @@ def conjugate(s: ComplexSignal) -> ComplexSignal:
 
 def real_part(s: ComplexSignal) -> ComplexSignal:
     """Keep the real component; the output's imaginary part is exactly zero."""
-    return ComplexSignal(s.samples.real.astype(np.complex128), s.sample_rate_hz, transient=s.transient)
+    return ComplexSignal(s.samples.real, s.sample_rate_hz, transient=s.transient)
 
 
 def _require_aligned(a: ComplexSignal, b: ComplexSignal, op: str) -> None:

@@ -23,34 +23,30 @@ WINDOWS = ("none", "hann")
 class Spectrum:
     """Two-sided DFT view of a signal.
 
-    ``freq_axis_hz`` ascends from -fs/2 toward +fs/2 in steps of
-    ``resolution_hz``; ``source_energy`` is the time-domain energy of the
-    analyzed (possibly windowed) samples.
+    ``bins`` run from -fs/2 toward +fs/2 in steps of ``resolution_hz``, at
+    the frequencies ``freq_axis_hz`` derives from the two; ``source_energy``
+    is the time-domain energy of the analyzed (possibly windowed) samples.
     """
 
     bins: np.ndarray
-    freq_axis_hz: np.ndarray
     resolution_hz: float
     source_energy: float
 
     def __post_init__(self) -> None:
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        freqs = np.asarray(self.freq_axis_hz, dtype=np.float64)
-        if bins.ndim != 1 or freqs.ndim != 1:
-            raise ValueError("bins and freq_axis_hz must be one-dimensional")
-        if bins.size != freqs.size:
-            raise ValueError("freq_axis_hz length must equal bins length")
+        bins = np.array(self.bins, dtype=np.complex128)
+        if bins.ndim != 1:
+            raise ValueError("bins must be one-dimensional")
         if not self.resolution_hz > 0:
             raise ValueError("resolution_hz must be positive")
-        bins = bins.copy()
         bins.setflags(write=False)
-        freqs = freqs.copy()
-        freqs.setflags(write=False)
         object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "freq_axis_hz", freqs)
         spectral = float(np.sum(self.bin_energies()))
         if self.source_energy > 0 and abs(spectral - self.source_energy) > 1e-9 * self.source_energy:
             raise ValueError("spectral energy does not match source_energy (Parseval violated)")
+
+    @property
+    def freq_axis_hz(self) -> np.ndarray:
+        return (np.arange(self.n) - self.n // 2) * self.resolution_hz
 
     @property
     def n(self) -> int:
@@ -93,16 +89,16 @@ def dft_two_sided(s: ComplexSignal, window: str = "none") -> Spectrum:
     else:
         raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
     bins = np.fft.fftshift(np.fft.fft(x))
-    freqs = (np.arange(s.n) - s.n // 2) * (s.sample_rate_hz / s.n)
     source_energy = float(np.sum(x.real**2 + x.imag**2) / s.sample_rate_hz)
-    return Spectrum(bins, freqs, s.sample_rate_hz / s.n, source_energy)
+    return Spectrum(bins, s.sample_rate_hz / s.n, source_energy)
 
 
 def band_energy(sp: Spectrum, f_lo: float, f_hi: float) -> float:
     """Energy in the half-open band ``f_lo <= f < f_hi``."""
     if not f_lo < f_hi:
         raise ValueError(f"inverted band: f_lo={f_lo} must be below f_hi={f_hi}")
-    mask = (sp.freq_axis_hz >= f_lo) & (sp.freq_axis_hz < f_hi)
+    freqs = sp.freq_axis_hz
+    mask = (freqs >= f_lo) & (freqs < f_hi)
     return float(np.sum(sp.bin_energies()[mask]))
 
 
@@ -153,34 +149,35 @@ def occupied_range(sp: Spectrum, fraction: float = 0.999) -> tuple[float, float]
     hi = sp.n - 1 - int(np.searchsorted(rev, tail, side="right"))
     if lo > hi:
         lo = hi = int(np.argmax(energies))
-    return float(sp.freq_axis_hz[lo]), float(sp.freq_axis_hz[hi])
+    freqs = sp.freq_axis_hz
+    return float(freqs[lo]), float(freqs[hi])
 
 
-#: ``(lo, hi)`` per signal and fraction.  Signals are immutable and compare
-#: by identity, so an entry stays valid until the signal is collected; only
-#: the two floats are kept, never the spectrum.
-_EXTENTS: WeakKeyDictionary[ComplexSignal, dict[float, tuple[float, float]]] = WeakKeyDictionary()
+#: ``(lo, hi)`` per signal.  Signals are immutable and compare by identity,
+#: so an entry stays valid until the signal is collected; only the two
+#: floats are kept, never the spectrum.
+_EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float]] = WeakKeyDictionary()
 
 
-def occupied_extent(s: ComplexSignal, fraction: float = 0.999) -> tuple[float, float]:
-    """``occupied_range`` of the signal's spectrum, computed once per signal.
+def occupied_extent(s: ComplexSignal) -> tuple[float, float]:
+    """The 99.9% ``occupied_range`` of the signal's spectrum, once per signal.
 
     This is the bandwidth guard every chain checks its preconditions with.
     """
-    memo = _EXTENTS.setdefault(s, {})
-    if fraction not in memo:
-        memo[fraction] = occupied_range(dft_two_sided(s), fraction)
-    return memo[fraction]
+    extent = _EXTENTS.get(s)
+    if extent is None:
+        extent = _EXTENTS[s] = occupied_range(dft_two_sided(s))
+    return extent
 
 
-def occupied_bandwidth(s: ComplexSignal, fraction: float = 0.999, *, f_center: float = 0.0) -> float:
+def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
     """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
-    over the frequencies needed to capture ``fraction`` of the energy.  The
-    default measures DC-centered content; ``f_center`` set to a carrier
-    measures the bands around +/- that carrier.  Zero for an all-zero signal."""
+    over the frequencies holding 99.9% of the energy.  The default measures
+    DC-centered content; ``f_center`` set to a carrier measures the bands
+    around +/- that carrier.  Zero for an all-zero signal."""
     if energy_is_zero(s):
         return 0.0
-    lo, hi = occupied_extent(s, fraction)
+    lo, hi = occupied_extent(s)
     return 2.0 * max(hi - f_center, -lo - f_center, 0.0)
 
 

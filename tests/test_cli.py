@@ -80,6 +80,7 @@ class TestRun:
             (["--scenario", "group_laws", "--n-samples", "64"], "past the Nyquist limit"),
             (["--scenario", "fig4", "--n-samples", "abc"], "invalid literal for int()"),
             (["--scenario", "fig4", "--n-samples", str(1 << 21)], "n_samples must be at most 1048576"),
+            (["--scenario", "polarization", "--n-samples", "256", "--noise-sigma", "1e308"], "field components must be finite"),
         ],
     )
     def test_unusable_value_exits_2_with_one_line(self, tmp_path, capsys, flags, fragment):

@@ -14,6 +14,7 @@ from carrierlab import (
     Constellation,
     DualMessage,
     FilterSpec,
+    ScenarioConfig,
     SymbolStream,
     add,
     band_energy,
@@ -27,6 +28,7 @@ from carrierlab import (
     dual_modulate,
     energy,
     evm_db,
+    execute_scenario,
     generate_baseband,
     multiply,
     occupied_bandwidth,
@@ -37,6 +39,7 @@ from carrierlab import (
     scale,
     spectrum,
 )
+from carrierlab.scenarios import GROUP_LAW_TRIALS
 
 FS = 65536.0
 N = 65536
@@ -210,12 +213,6 @@ class TestGuardMemo:
         band_move(ComplexSignal(s.samples, s.sample_rate_hz), 3000.0)
         assert len(fft_calls) == 2
 
-    def test_each_fraction_has_its_own_extent(self, fft_calls):
-        s = _shaped_baseband(n_symbols=64, sps=16)
-        assert occupied_bandwidth(s, 0.5) < occupied_bandwidth(s)
-        assert occupied_bandwidth(s, 0.5) < occupied_bandwidth(s)
-        assert len(fft_calls) == 2
-
     def test_repeated_over_nyquist_move_raises_the_same_message(self, fft_calls):
         s = _tone(15000.0)
         with pytest.raises(ValueError, match="past the Nyquist limit") as first:
@@ -238,6 +235,13 @@ class TestGuardMemo:
         del s
         gc.collect()
         assert ref() is None
+
+    def test_group_laws_guards_each_trial_with_three_ffts(self, fft_calls):
+        report, _ = execute_scenario(ScenarioConfig(scenario="group_laws", n_samples=4096))
+        assert report.passed
+        # per trial: s, band_move(s, f1) and band_move(s, f2); then the tone's
+        # guard, its peak and the two spectrum artifacts
+        assert fft_calls == [4096] * (3 * GROUP_LAW_TRIALS + 4)
 
 
 class TestDualMessage:

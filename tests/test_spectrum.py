@@ -82,6 +82,13 @@ class TestDftTwoSided:
         sp = dft_two_sided(_signal(np.ones(5), fs=5.0))
         np.testing.assert_array_equal(sp.freq_axis_hz, np.arange(-2, 3))
 
+    @pytest.mark.parametrize("n", [2, 15, 16, 16384])
+    @pytest.mark.parametrize("fs", [100.0, 48000.0, 65536.0])
+    def test_derived_axis_is_bitwise_the_computed_one(self, n, fs):
+        sp = dft_two_sided(_signal(np.ones(n), fs=fs))
+        expected = (np.arange(n) - n // 2) * (fs / n)
+        assert sp.freq_axis_hz.tobytes() == expected.tobytes()
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             dft_two_sided(_signal([1.0]))
@@ -258,17 +265,11 @@ class TestOccupied:
 
 
 class TestSpectrumInvariants:
-    def test_mismatched_axis_rejected(self):
-        from carrierlab import Spectrum
-
-        with pytest.raises(ValueError):
-            Spectrum(np.ones(4, dtype=complex), np.arange(3.0), 1.0, 4.0)
-
     def test_parseval_mismatch_rejected(self):
         from carrierlab import Spectrum
 
         with pytest.raises(ValueError):
-            Spectrum(np.ones(4, dtype=complex), np.arange(-2.0, 2.0), 1.0, 99.0)
+            Spectrum(np.ones(4, dtype=complex), 1.0, 99.0)
 
     def test_energy_scaling_under_amplitude(self):
         s = _osc(32.0)
