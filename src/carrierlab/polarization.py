@@ -101,8 +101,8 @@ def transmit(p: PolarizedPair, ch: ChannelConfig) -> PolarizedPair:
     """
     rng = np.random.Generator(np.random.PCG64(ch.seed))
     keep = 1.0 - ch.crosstalk
-    # an overflow leaves Inf or NaN behind, which PolarizedPair rejects
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow leaves Inf behind, which PolarizedPair rejects
+    with np.errstate(over="ignore"):
         noise_y = ch.noise_sigma * rng.standard_normal(p.n)
         noise_z = ch.noise_sigma * rng.standard_normal(p.n)
         out_y = keep * p.comp_y + ch.crosstalk * p.comp_z + noise_y

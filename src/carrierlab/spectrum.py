@@ -130,19 +130,21 @@ def peak_frequency(sp: Spectrum) -> float:
     return float(candidates[order[0]])
 
 
-def occupied_range(sp: Spectrum, fraction: float = 0.999) -> tuple[float, float]:
-    """Frequency range holding ``fraction`` of the energy.
+#: Share of the energy the occupied band holds.
+OCCUPIED_FRACTION = 0.999
 
-    Trims up to ``(1 - fraction)/2`` of the total energy from each tail and
-    returns the (lowest, highest) surviving bin frequencies.
+
+def occupied_range(sp: Spectrum) -> tuple[float, float]:
+    """Frequency range holding ``OCCUPIED_FRACTION`` of the energy.
+
+    Trims up to ``(1 - OCCUPIED_FRACTION)/2`` of the total energy from each
+    tail and returns the (lowest, highest) surviving bin frequencies.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
     energies = sp.bin_energies()
     total = float(np.sum(energies))
     if total <= 0.0:
         raise ValueError("an all-zero spectrum occupies no band")
-    tail = (1.0 - fraction) / 2.0 * total
+    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * total
     fwd = np.cumsum(energies)
     lo = int(np.searchsorted(fwd, tail, side="right"))
     rev = np.cumsum(energies[::-1])
@@ -160,7 +162,7 @@ _EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float]] = WeakKeyDiction
 
 
 def occupied_extent(s: ComplexSignal) -> tuple[float, float]:
-    """The 99.9% ``occupied_range`` of the signal's spectrum, once per signal.
+    """The ``occupied_range`` of the signal's spectrum, once per signal.
 
     This is the bandwidth guard every chain checks its preconditions with.
     """
@@ -172,7 +174,7 @@ def occupied_extent(s: ComplexSignal) -> tuple[float, float]:
 
 def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
     """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
-    over the frequencies holding 99.9% of the energy.  The default measures
+    over the frequencies ``occupied_range`` keeps.  The default measures
     DC-centered content; ``f_center`` set to a carrier measures the bands
     around +/- that carrier.  Zero for an all-zero signal."""
     if energy_is_zero(s):

@@ -72,22 +72,18 @@ class TestDftTwoSided:
         assert abs(pos) == pytest.approx(peak_complex / 2, rel=1e-12)
         assert abs(neg) == pytest.approx(peak_complex / 2, rel=1e-12)
 
-    def test_axis_shape_and_order(self):
-        sp = dft_two_sided(_signal(np.ones(8), fs=8.0))
-        np.testing.assert_array_equal(sp.freq_axis_hz, np.arange(-4, 4))
-        assert sp.resolution_hz == 1.0
-        assert sp.n == 8
+    @pytest.mark.parametrize("n", [2, 8, 15, 16, 16384])
+    @pytest.mark.parametrize("fs", [8.0, 100.0, 48000.0, 65536.0])
+    def test_axis_shape_and_order(self, n, fs):
+        sp = dft_two_sided(_signal(np.ones(n), fs=fs))
+        expected = (np.arange(n) - n // 2) * (fs / n)
+        assert sp.freq_axis_hz.tobytes() == expected.tobytes()
+        assert sp.resolution_hz == fs / n
+        assert sp.n == n
 
     def test_odd_length_axis(self):
         sp = dft_two_sided(_signal(np.ones(5), fs=5.0))
         np.testing.assert_array_equal(sp.freq_axis_hz, np.arange(-2, 3))
-
-    @pytest.mark.parametrize("n", [2, 15, 16, 16384])
-    @pytest.mark.parametrize("fs", [100.0, 48000.0, 65536.0])
-    def test_derived_axis_is_bitwise_the_computed_one(self, n, fs):
-        sp = dft_two_sided(_signal(np.ones(n), fs=fs))
-        expected = (np.arange(n) - n // 2) * (fs / n)
-        assert sp.freq_axis_hz.tobytes() == expected.tobytes()
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -253,11 +249,6 @@ class TestOccupied:
     def test_mirrored_tones_have_no_width_about_their_center(self):
         s = add(_osc(-96.0), _osc(96.0))
         assert occupied_bandwidth(s, f_center=96.0) == 0.0
-
-    def test_bad_fraction_rejected(self):
-        sp = dft_two_sided(_osc(48.0))
-        with pytest.raises(ValueError):
-            occupied_range(sp, fraction=0.0)
 
     def test_zero_spectrum_rejected(self):
         with pytest.raises(ValueError):
