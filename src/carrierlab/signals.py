@@ -35,7 +35,6 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
-from scipy.signal import upfirdn
 
 TWO_PI = 2.0 * np.pi
 
@@ -293,6 +292,23 @@ def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     return pulse
 
 
+def _polyphase(pulse: np.ndarray, symbols: np.ndarray, up: int) -> np.ndarray:
+    """The symbols, each followed by ``up - 1`` zeros, convolved with
+    ``pulse``, without the multiplies by those zeros.  Row ``j`` of the pulse
+    (taps ``j*up`` on) is added in from the last row to the first, the order
+    of ``scipy.signal.upfirdn(pulse, symbols, up=up)``, so the sums round alike.
+    """
+    n, rows = symbols.size, -(-pulse.size // up)
+    h = np.zeros((rows, up))
+    h.flat[: pulse.size] = pulse
+    out = np.zeros((n + rows - 1, up), dtype=np.complex128)
+    term = np.empty((n, up), dtype=np.complex128)
+    for j in range(rows - 1, -1, -1):
+        np.multiply(symbols[:, None], h[j], out=term)
+        out[j : j + n] += term
+    return out.reshape(-1)
+
+
 def generate_baseband(
     msg: SymbolStream,
     samples_per_symbol: int,
@@ -317,9 +333,7 @@ def generate_baseband(
     elif shaping == "raised_cosine":
         pulse = raised_cosine_pulse(samples_per_symbol, rolloff)
         delay = (pulse.size - 1) // 2
-        # polyphase interpolation: the convolution of the zero-stuffed
-        # symbols with the pulse, without the multiplies by stuffed zeros
-        samples = upfirdn(pulse, msg.symbols, up=samples_per_symbol)[delay : delay + n_out]
+        samples = _polyphase(pulse, msg.symbols, samples_per_symbol)[delay : delay + n_out]
     else:
         raise ValueError(f"unknown shaping {shaping!r}; expected 'rectangular' or 'raised_cosine'")
     return ComplexSignal(samples, sample_rate_hz)

@@ -40,7 +40,11 @@ class Spectrum:
             raise ValueError("resolution_hz must be positive")
         bins.setflags(write=False)
         object.__setattr__(self, "bins", bins)
-        spectral = float(np.sum(self.bin_energies()))
+        # an overflow (Inf) is rejected once, here, for every later bin_energies()
+        with np.errstate(over="ignore"):
+            spectral = float(np.sum(self.bin_energies()))
+        if not np.isfinite(spectral):
+            raise ValueError("spectral energy overflows double precision")
         if self.source_energy > 0 and abs(spectral - self.source_energy) > 1e-9 * self.source_energy:
             raise ValueError("spectral energy does not match source_energy (Parseval violated)")
 
@@ -89,7 +93,10 @@ def dft_two_sided(s: ComplexSignal, window: str = "none") -> Spectrum:
     else:
         raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
     bins = np.fft.fftshift(np.fft.fft(x))
-    source_energy = float(np.sum(x.real**2 + x.imag**2) / s.sample_rate_hz)
+    with np.errstate(over="ignore"):
+        source_energy = float(np.sum(x.real**2 + x.imag**2) / s.sample_rate_hz)
+    if not np.isfinite(source_energy):
+        raise ValueError("signal energy overflows double precision")
     return Spectrum(bins, s.sample_rate_hz / s.n, source_energy)
 
 

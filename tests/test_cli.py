@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carrierlab
 from carrierlab import Constellation, ScenarioConfig
 from carrierlab.cli import main
 from carrierlab.scenarios import SCENARIOS
@@ -81,6 +85,7 @@ class TestRun:
             (["--scenario", "fig4", "--n-samples", "abc"], "invalid literal for int()"),
             (["--scenario", "fig4", "--n-samples", str(1 << 21)], "n_samples must be at most 1048576"),
             (["--scenario", "polarization", "--n-samples", "256", "--noise-sigma", "1e308"], "field components must be finite"),
+            (["--scenario", "polarization", "--n-samples", "256", "--noise-sigma", "1e200"], "energy overflows double precision"),
         ],
     )
     def test_unusable_value_exits_2_with_one_line(self, tmp_path, capsys, flags, fragment):
@@ -89,6 +94,26 @@ class TestRun:
         assert fragment in err
         assert err.count("\n") == 1
         assert not (tmp_path / "report.txt").exists()
+
+    def test_run_and_verify_import_no_scipy(self, tmp_path):
+        # scipy is an oracle for the tests, not a dependency of the program
+        out = str(tmp_path / "fig10")
+        script = (
+            "import sys\n"
+            "from carrierlab.cli import main\n"
+            f"assert main(['run', '--scenario', 'fig10', '--n-samples', '4096', '--out', {out!r}]) == 0\n"
+            f"assert main(['verify', '--out', {out!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(carrierlab.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_every_field_has_a_flag(self, tmp_path, capsys):
         flags = {

@@ -74,6 +74,12 @@ class TestDesignLowpass:
         with pytest.raises(ValueError):
             FilterSpec(**kwargs)
 
+    def test_design_is_memoised_and_read_only(self):
+        taps = design_lowpass(DEFAULT, FS)
+        assert design_lowpass(FilterSpec(6144.0, 2048.0, 60.0), FS) is taps
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0.0
+
     def test_tap_budget_boundary(self):
         # a wide transition needs few taps and always fits the budget
         taps = design_lowpass(FilterSpec(8192.0, 8192.0, 60.0), FS)
