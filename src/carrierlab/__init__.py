@@ -46,19 +46,16 @@ from .signals import (
     Constellation,
     SymbolStream,
     add,
-    conjugate,
     energy,
     generate_baseband,
     multiply,
     oscillator,
     raised_cosine_pulse,
     real_part,
-    scale,
 )
 from .spectrum import (
     BandEnergyReport,
     Spectrum,
-    band_energy,
     band_report,
     conj_mirror_correlation,
     conj_mirror_error,
@@ -89,14 +86,12 @@ __all__ = [
     "Verdict",
     "add",
     "apply_filter",
-    "band_energy",
     "band_move",
     "band_report",
     "complex_demodulate",
     "complex_modulate",
     "conj_mirror_correlation",
     "conj_mirror_error",
-    "conjugate",
     "design_lowpass",
     "detect_handedness",
     "dft_two_sided",
@@ -118,7 +113,6 @@ __all__ = [
     "real_modulate",
     "real_part",
     "run_scenario",
-    "scale",
     "to_polarized",
     "transmit",
     "verify_run",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
-from .signals import CarrierConfig, ComplexSignal, add, multiply, oscillator, steady_pair
+from .signals import CarrierConfig, ComplexSignal, _require_aligned, _sum_sq, add, multiply, oscillator, steady_pair
 from .spectrum import energy_is_zero, occupied_bandwidth, occupied_extent
 
 
@@ -63,10 +63,7 @@ class DualMessage:
     guard_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.stream_a.n != self.stream_b.n:
-            raise ValueError("dual streams must have equal lengths")
-        if self.stream_a.sample_rate_hz != self.stream_b.sample_rate_hz:
-            raise ValueError("dual streams must share a sample rate")
+        _require_aligned(self.stream_a, self.stream_b, "DualMessage")
         if self.guard_hz < 0:
             raise ValueError("guard_hz cannot be negative")
 
@@ -114,16 +111,12 @@ def dual_demodulate(
 def evm_db(recovered: ComplexSignal, reference: ComplexSignal) -> float:
     """Error vector magnitude, ``10*log10(err_energy / ref_energy)`` in dB,
     over the samples outside both signals' transient regions."""
-    if recovered.n != reference.n:
-        raise ValueError("EVM requires signals of equal length")
-    if recovered.sample_rate_hz != reference.sample_rate_hz:
-        raise ValueError("EVM requires signals at the same sample rate")
+    _require_aligned(recovered, reference, "evm_db")
     r, ref = steady_pair(recovered, reference)
-    ref_energy = float(np.sum(ref.real**2 + ref.imag**2))
+    ref_energy = _sum_sq(ref)
     if ref_energy == 0.0:
         raise ValueError("EVM reference signal has zero energy")
-    err = r - ref
-    err_energy = float(np.sum(err.real**2 + err.imag**2))
+    err_energy = _sum_sq(r - ref)
     if err_energy == 0.0:
         return float("-inf")
     return float(10.0 * np.log10(err_energy / ref_energy))

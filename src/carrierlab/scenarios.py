@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -47,6 +48,7 @@ from .signals import (
     ComplexSignal,
     Constellation,
     SymbolStream,
+    _sum_sq,
     energy,
     generate_baseband,
     multiply,
@@ -321,7 +323,7 @@ def _build_fig5(cfg: ScenarioConfig):
     rec, ref = steady_pair(recovered, bb)
     half_ref = ref / 2.0
     peak_rel = float(np.max(np.abs(rec - half_ref)) / np.max(np.abs(half_ref)))
-    energy_ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
+    energy_ratio = _sum_sq(rec) / _sum_sq(ref)
     cpath, rpath = steady_pair(conj_path, recovered)
     conj_err = float(np.max(np.abs(cpath - np.conj(rpath))) / np.max(np.abs(rpath)))
 
@@ -420,9 +422,7 @@ def _build_fig10(cfg: ScenarioConfig):
     only_a = dual_modulate(DualMessage(stream_a, silent, cfg.guard_hz), cfg.f_c_hz)
     _, leak_branch = dual_demodulate(only_a, cfg.f_c_hz, lpf)
     leak, a_ref = steady_pair(leak_branch, stream_a)
-    leak_db = float(
-        10.0 * np.log10(np.sum(np.abs(leak) ** 2) / np.sum(np.abs(a_ref) ** 2))
-    )
+    leak_db = float(10.0 * np.log10(_sum_sq(leak) / _sum_sq(a_ref)))
 
     metrics = {
         **_energies(dual=dual, recovered_a=rec_a, recovered_b=rec_b),
@@ -506,10 +506,10 @@ def _build_compare(cfg: ScenarioConfig):
     passband = real_modulate(stream_a, CarrierConfig(cfg.f_c_hz))
     recovered = real_demodulate(passband, CarrierConfig(-cfg.f_c_hz), lpf)
     rec, ref = steady_pair(recovered, stream_a)
-    # numpy sums rather than vdot, whose BLAS rounding varies with the thread count
-    fit = np.sum(np.conj(ref) * rec) / np.sum(ref.real**2 + ref.imag**2)
+    # np.sum, not np.vdot, for the reason _sum_sq gives
+    fit = np.sum(np.conj(ref) * rec) / _sum_sq(ref)
     amplitude_factor = float(np.abs(fit))
-    energy_ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
+    energy_ratio = _sum_sq(rec) / _sum_sq(ref)
     sp_pb = dft_two_sided(passband)
     real_bands, corr_real, real_streams = _ledger(sp_pb)
 
@@ -714,58 +714,54 @@ def _text_divergence(stored: str, fresh: list[tuple[str, str, str]]) -> str | No
     return None
 
 
+def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str | None]:
+    """``read(out / name)`` and None, or None and the one message that names
+    why the file did not load."""
+    try:
+        return read(out / name), None
+    except FileNotFoundError:
+        return None, f"missing artifact: {name}"
+    except OSError as exc:
+        return None, f"artifact {name} unreadable: {exc}"
+    except ValueError as exc:
+        return None, f"artifact {name} failed schema check: {exc}"
+
+
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     """Re-check an existing run against a fresh execution of its stored
     configuration.  ``report.txt`` must match the fresh report line by line
     (measured values at 1e-9, all other text exactly) and ``config.txt`` the
     canonical text of its configuration.  Every artifact must exist, parse,
     and match the recomputed table row by row (at ``ARTIFACT_RTOL`` of each
-    column's peak), and every verdict must pass.  A file that exists but
-    cannot be read fails the run with one message naming it."""
+    column's peak), and every verdict must pass.  A file that is missing or
+    cannot be read or parsed fails the run with one message naming it."""
     out = Path(out_dir)
-    report_path = out / "report.txt"
-    if not report_path.exists():
-        return False, [f"missing report: {report_path}"]
-    config_path = out / "config.txt"
-    if not config_path.exists():
-        return False, ["missing artifact: config.txt"]
-    try:
+    texts = {}
+    for name in ("report.txt", "config.txt"):
         # undecodable bytes become U+FFFD, which no fresh line contains
-        report_text = report_path.read_text(errors="replace")
-    except OSError as exc:
-        return False, [f"report.txt unreadable: {exc}"]
+        texts[name], fault = _load(out, name, lambda path: path.read_text(errors="replace"))
+        if fault is not None:
+            return False, [fault]
     try:
-        config_text = config_path.read_text(errors="replace")
-    except OSError as exc:
-        return False, [f"artifact config.txt unreadable: {exc}"]
-    try:
-        cfg = ScenarioConfig.from_mapping(parse_config_text(config_text))
+        cfg = ScenarioConfig.from_mapping(parse_config_text(texts["config.txt"]))
         fresh, artifacts = execute_scenario(cfg)
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
 
     messages: list[str] = []
-    for name, stored, lines in (
-        ("report.txt", report_text, fresh.lines()),
-        ("config.txt", config_text, [(line, "", "") for line in cfg.to_text().splitlines()]),
+    for name, lines in (
+        ("report.txt", fresh.lines()),
+        ("config.txt", [(line, "", "") for line in cfg.to_text().splitlines()]),
     ):
-        divergence = _text_divergence(stored, lines)
+        divergence = _text_divergence(texts[name], lines)
         if divergence is not None:
             messages.append(f"{name} {divergence}")
     for name, (kind, data) in artifacts.items():
-        path = out / name
-        if not path.exists():
-            messages.append(f"missing artifact: {name}")
-            continue
         if kind == "config":  # compared as text above
             continue
-        try:
-            parsed = getattr(sigio, f"read_{kind}_csv")(path)  # on the module, as in run_scenario
-        except ValueError as exc:
-            messages.append(f"artifact {name} failed schema check: {exc}")
-            continue
-        except OSError as exc:
-            messages.append(f"artifact {name} unreadable: {exc}")
+        parsed, fault = _load(out, name, getattr(sigio, f"read_{kind}_csv"))  # on the module, as in run_scenario
+        if fault is not None:
+            messages.append(fault)
             continue
         divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
         if divergence is not None:

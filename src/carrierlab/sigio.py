@@ -25,11 +25,6 @@ from .polarization import PolarizedPair
 from .signals import ComplexSignal
 from .spectrum import Spectrum
 
-SIGNAL_HEADER = "index,re,im"
-SPECTRUM_HEADER = "freq_hz,re,im"
-PAIR_HEADER = "index,comp_y,comp_z"
-TAPS_HEADER = "k,tap"
-
 #: rows formatted in one batch; a whole file at once holds a Python object
 #: per cell and raises peak memory
 BLOCK_ROWS = 256
@@ -53,22 +48,22 @@ class Schema:
 
 SCHEMAS = {
     "signal": Schema(
-        SIGNAL_HEADER,
+        "index,re,im",
         "signal",
         lambda s: (np.arange(s.n), s.samples.real, s.samples.imag),
     ),
     "spectrum": Schema(
-        SPECTRUM_HEADER,
+        "freq_hz,re,im",
         "spectrum",
         lambda sp: (sp.freq_axis_hz, sp.bins.real, sp.bins.imag),
     ),
     "pair": Schema(
-        PAIR_HEADER,
+        "index,comp_y,comp_z",
         "polarized pair",
         lambda p: (np.arange(p.n), p.comp_y, p.comp_z),
     ),
     "taps": Schema(
-        TAPS_HEADER,
+        "k,tap",
         "filter taps",
         lambda taps: (np.arange(len(taps)), np.asarray(taps, dtype=np.float64)),
     ),

@@ -76,9 +76,6 @@ class ComplexSignal:
     def n(self) -> int:
         return int(self.samples.size)
 
-    def time_axis(self) -> np.ndarray:
-        return np.arange(self.n) / self.sample_rate_hz
-
     def steady(self) -> np.ndarray:
         """Samples with the transient edges removed."""
         if 2 * self.transient >= self.n:
@@ -221,11 +218,6 @@ def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> Complex
     return ComplexSignal(_carrier(cycles, carrier.initial_phase_rad), sample_rate_hz)
 
 
-def conjugate(s: ComplexSignal) -> ComplexSignal:
-    """Elementwise complex conjugate (flips rotation handedness)."""
-    return ComplexSignal(np.conj(s.samples), s.sample_rate_hz, transient=s.transient)
-
-
 def real_part(s: ComplexSignal) -> ComplexSignal:
     """Keep the real component; the output's imaginary part is exactly zero."""
     return ComplexSignal(s.samples.real, s.sample_rate_hz, transient=s.transient)
@@ -252,11 +244,6 @@ def add(a: ComplexSignal, b: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(a.samples + b.samples, a.sample_rate_hz, transient=max(a.transient, b.transient))
 
 
-def scale(s: ComplexSignal, c: complex) -> ComplexSignal:
-    """Multiply every sample by the scalar ``c``."""
-    return ComplexSignal(s.samples * c, s.sample_rate_hz, transient=s.transient)
-
-
 def steady_pair(x: ComplexSignal, y: ComplexSignal) -> tuple[np.ndarray, np.ndarray]:
     """Samples of ``x`` and of ``y`` outside the larger of their two
     transient edges, so both slices cover the same instants."""
@@ -266,9 +253,16 @@ def steady_pair(x: ComplexSignal, y: ComplexSignal) -> tuple[np.ndarray, np.ndar
     return x.samples[skip : x.n - skip], y.samples[skip : y.n - skip]
 
 
+def _sum_sq(x: np.ndarray) -> float:
+    """``sum(|x|^2)`` by numpy summation.  Not ``np.vdot``/``np.linalg.norm``:
+    BLAS splits those across threads above about 10000 elements, so their
+    rounding, and the report bytes with it, would depend on the thread count."""
+    return float(np.sum(x.real**2 + x.imag**2))
+
+
 def energy(s: ComplexSignal) -> float:
     """Signal energy ``sum(|x|^2) / fs``; zero iff every sample is zero."""
-    return float(np.sum(s.samples.real**2 + s.samples.imag**2) / s.sample_rate_hz)
+    return _sum_sq(s.samples) / s.sample_rate_hz
 
 
 def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .signals import ComplexSignal
+from .signals import ComplexSignal, _sum_sq
 
 WINDOWS = ("none", "hann")
 
@@ -94,19 +94,10 @@ def dft_two_sided(s: ComplexSignal, window: str = "none") -> Spectrum:
         raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
     bins = np.fft.fftshift(np.fft.fft(x))
     with np.errstate(over="ignore"):
-        source_energy = float(np.sum(x.real**2 + x.imag**2) / s.sample_rate_hz)
+        source_energy = _sum_sq(x) / s.sample_rate_hz
     if not np.isfinite(source_energy):
         raise ValueError("signal energy overflows double precision")
     return Spectrum(bins, s.sample_rate_hz / s.n, source_energy)
-
-
-def band_energy(sp: Spectrum, f_lo: float, f_hi: float) -> float:
-    """Energy in the half-open band ``f_lo <= f < f_hi``."""
-    if not f_lo < f_hi:
-        raise ValueError(f"inverted band: f_lo={f_lo} must be below f_hi={f_hi}")
-    freqs = sp.freq_axis_hz
-    mask = (freqs >= f_lo) & (freqs < f_hi)
-    return float(np.sum(sp.bin_energies()[mask]))
 
 
 def band_report(sp: Spectrum) -> BandEnergyReport:
@@ -222,11 +213,8 @@ def conj_mirror_correlation(sp: Spectrum) -> float:
     R-band bins: 1 for real-valued signals, near 0 when the two bands carry
     independent content."""
     neg, pos = _mirror_pairs(sp)
-    # numpy sums, not vdot/norm: BLAS splits those across threads above ~10k
-    # elements, so their rounding would depend on the thread count
-    neg_norm = np.sqrt(np.sum(neg.real**2 + neg.imag**2))
-    pos_norm = np.sqrt(np.sum(pos.real**2 + pos.imag**2))
-    norm = float(neg_norm * pos_norm)
+    norm = float(np.sqrt(_sum_sq(neg)) * np.sqrt(_sum_sq(pos)))
     if norm == 0.0:
         return 0.0
+    # np.sum, not np.vdot, for the reason _sum_sq gives
     return float(np.abs(np.sum(pos * neg)) / norm)

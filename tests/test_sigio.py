@@ -38,19 +38,19 @@ class TestSignalCsv:
 
     def test_column_count_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(sigio.SIGNAL_HEADER + "\n0,1.0\n")
+        path.write_text(sigio.SCHEMAS["signal"].header + "\n0,1.0\n")
         with pytest.raises(ValueError):
             sigio.read_signal_csv(path)
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(sigio.SIGNAL_HEADER + "\n0,oops,0.0\n")
+        path.write_text(sigio.SCHEMAS["signal"].header + "\n0,oops,0.0\n")
         with pytest.raises(ValueError):
             sigio.read_signal_csv(path)
 
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(sigio.SIGNAL_HEADER + "\n")
+        path.write_text(sigio.SCHEMAS["signal"].header + "\n")
         with pytest.raises(ValueError):
             sigio.read_signal_csv(path)
 
