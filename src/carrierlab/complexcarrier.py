@@ -17,7 +17,7 @@ import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
 from .signals import CarrierConfig, ComplexSignal, _require_aligned, _sum_sq, add, multiply, oscillator, steady_pair
-from .spectrum import energy_is_zero, occupied_bandwidth, occupied_extent
+from .spectrum import occupied_bandwidth, occupied_extent
 
 
 def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
@@ -29,8 +29,9 @@ def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal
     ``[-fs/2, fs/2)``; a zero shift and an all-zero signal are never checked.
     """
     f = carrier.frequency_hz
-    if not energy_is_zero(bb) and f != 0.0:
-        lo, hi = occupied_extent(bb)
+    extent = occupied_extent(bb) if f != 0.0 else None
+    if extent is not None:
+        lo, hi = extent
         nyq = bb.sample_rate_hz / 2
         if lo + f < -nyq or hi + f >= nyq:
             raise ValueError(

@@ -2,7 +2,10 @@
 and seeded baseband message generation.
 
 All values are immutable and every operation is a pure function returning a
-new signal, so everything here is safe to share across threads.
+new signal, so everything here is safe to share across threads.  A
+``ComplexSignal`` adopts a read-only complex128 array that owns its data as
+it is (the operations here build theirs so) and copies anything else.
+Raised-cosine shaping memoises its pulse per (samples per symbol, rolloff).
 
 Two conventions matter throughout:
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -58,7 +61,7 @@ class ComplexSignal:
     transient: int = 0
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.complex128)
+        samples = _adopt(self.samples)
         if samples.ndim != 1:
             raise ValueError("samples must be a one-dimensional sequence")
         if samples.size < 1:
@@ -69,7 +72,6 @@ class ComplexSignal:
             raise ValueError("signal samples must be finite (no NaN/Inf)")
         if self.transient < 0:
             raise ValueError("transient sample count cannot be negative")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -81,6 +83,21 @@ class ComplexSignal:
         if 2 * self.transient >= self.n:
             raise ValueError("signal has no steady-state samples left")
         return self.samples[self.transient : self.n - self.transient]
+
+
+def _adopt(a) -> np.ndarray:
+    """``a`` as a read-only complex128 array: ``a`` itself when it is one and
+    owns its data (its holder hands it over; nothing may unseal it or write
+    through an older view), else a copy that writes to ``a`` cannot reach."""
+    if isinstance(a, np.ndarray) and a.dtype == np.complex128 and a.flags.owndata and not a.flags.writeable:
+        return a
+    return _sealed(np.array(a, dtype=np.complex128))
+
+
+def _sealed(fresh: np.ndarray) -> np.ndarray:
+    """``fresh``, an array no one else holds, made read-only for ``_adopt``."""
+    fresh.setflags(write=False)
+    return fresh
 
 
 @dataclass(frozen=True)
@@ -212,10 +229,11 @@ def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> Complex
     ):
         index = int(f) * np.arange(n, dtype=np.int64)
         index &= 2 * fs - 1
-        return ComplexSignal(_carrier_table(fs)[index], sample_rate_hz)
-    k = np.arange(n, dtype=np.float64)
-    cycles = (f * k) / sample_rate_hz
-    return ComplexSignal(_carrier(cycles, carrier.initial_phase_rad), sample_rate_hz)
+        samples = _carrier_table(fs)[index]
+    else:
+        cycles = (f * np.arange(n, dtype=np.float64)) / sample_rate_hz
+        samples = _carrier(cycles, carrier.initial_phase_rad)
+    return ComplexSignal(_sealed(samples), sample_rate_hz)
 
 
 def real_part(s: ComplexSignal) -> ComplexSignal:
@@ -235,13 +253,13 @@ def _require_aligned(a: ComplexSignal, b: ComplexSignal, op: str) -> None:
 def multiply(a: ComplexSignal, b: ComplexSignal) -> ComplexSignal:
     """Elementwise complex product."""
     _require_aligned(a, b, "multiply")
-    return ComplexSignal(a.samples * b.samples, a.sample_rate_hz, transient=max(a.transient, b.transient))
+    return ComplexSignal(_sealed(a.samples * b.samples), a.sample_rate_hz, transient=max(a.transient, b.transient))
 
 
 def add(a: ComplexSignal, b: ComplexSignal) -> ComplexSignal:
     """Elementwise sum."""
     _require_aligned(a, b, "add")
-    return ComplexSignal(a.samples + b.samples, a.sample_rate_hz, transient=max(a.transient, b.transient))
+    return ComplexSignal(_sealed(a.samples + b.samples), a.sample_rate_hz, transient=max(a.transient, b.transient))
 
 
 def steady_pair(x: ComplexSignal, y: ComplexSignal) -> tuple[np.ndarray, np.ndarray]:
@@ -286,19 +304,34 @@ def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     return pulse
 
 
-def _polyphase(pulse: np.ndarray, symbols: np.ndarray, up: int) -> np.ndarray:
-    """The symbols, each followed by ``up - 1`` zeros, convolved with
-    ``pulse``, without the multiplies by those zeros.  Row ``j`` of the pulse
-    (taps ``j*up`` on) is added in from the last row to the first, the order
-    of ``scipy.signal.upfirdn(pulse, symbols, up=up)``, so the sums round alike.
+_raised_cosine = raised_cosine_pulse
+
+
+@lru_cache(maxsize=64)
+def _pulse_rows(samples_per_symbol: int, rolloff: float) -> np.ndarray:
+    """The raised-cosine pulse as read-only complex128 rows of
+    ``samples_per_symbol`` taps, zero-padded: row ``j`` holds taps
+    ``j*samples_per_symbol`` on.  Built through a private alias, so that a
+    tracer that counts ``raised_cosine_pulse`` calls counts the same
+    whatever ran earlier in the process."""
+    pulse = _raised_cosine(samples_per_symbol, rolloff)
+    rows = np.zeros((-(-pulse.size // samples_per_symbol), samples_per_symbol), dtype=np.complex128)
+    rows.flat[: pulse.size] = pulse
+    return _sealed(rows)
+
+
+def _polyphase(rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The symbols, each followed by ``up - 1`` zeros, convolved with the
+    pulse held in ``rows`` (``up`` taps each), without the multiplies by
+    those zeros.  Rows are added in from the last to the first, the order of
+    ``scipy.signal.upfirdn(pulse, symbols, up=up)``, so the sums round alike
+    (complex rows give the products of float ones, which numpy casts first).
     """
-    n, rows = symbols.size, -(-pulse.size // up)
-    h = np.zeros((rows, up))
-    h.flat[: pulse.size] = pulse
-    out = np.zeros((n + rows - 1, up), dtype=np.complex128)
+    n, (n_rows, up) = symbols.size, rows.shape
+    out = np.zeros((n + n_rows - 1, up), dtype=np.complex128)
     term = np.empty((n, up), dtype=np.complex128)
-    for j in range(rows - 1, -1, -1):
-        np.multiply(symbols[:, None], h[j], out=term)
+    for j in range(n_rows - 1, -1, -1):
+        np.multiply(symbols[:, None], rows[j], out=term)
         out[j : j + n] += term
     return out.reshape(-1)
 
@@ -325,9 +358,8 @@ def generate_baseband(
     if shaping == "rectangular":
         samples = np.repeat(msg.symbols, samples_per_symbol)
     elif shaping == "raised_cosine":
-        pulse = raised_cosine_pulse(samples_per_symbol, rolloff)
-        delay = (pulse.size - 1) // 2
-        samples = _polyphase(pulse, msg.symbols, samples_per_symbol)[delay : delay + n_out]
+        delay = RC_SPAN_SYMBOLS * samples_per_symbol  # the pulse's center tap
+        samples = _polyphase(_pulse_rows(samples_per_symbol, rolloff), msg.symbols)[delay : delay + n_out]
     else:
         raise ValueError(f"unknown shaping {shaping!r}; expected 'rectangular' or 'raised_cosine'")
     return ComplexSignal(samples, sample_rate_hz)

@@ -14,7 +14,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .signals import ComplexSignal, _sum_sq
+from .signals import ComplexSignal, _adopt, _sealed, _sum_sq
 
 WINDOWS = ("none", "hann")
 
@@ -33,12 +33,11 @@ class Spectrum:
     source_energy: float
 
     def __post_init__(self) -> None:
-        bins = np.array(self.bins, dtype=np.complex128)
+        bins = _adopt(self.bins)
         if bins.ndim != 1:
             raise ValueError("bins must be one-dimensional")
         if not self.resolution_hz > 0:
             raise ValueError("resolution_hz must be positive")
-        bins.setflags(write=False)
         object.__setattr__(self, "bins", bins)
         # an overflow (Inf) is rejected once, here, for every later bin_energies()
         with np.errstate(over="ignore"):
@@ -62,7 +61,10 @@ class Spectrum:
 
     def bin_energies(self) -> np.ndarray:
         b = self.bins
-        return (b.real**2 + b.imag**2) / (self.n * self.sample_rate_hz)
+        energies = b.real**2
+        energies += b.imag**2
+        energies /= self.n * self.sample_rate_hz
+        return energies
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,15 @@ def dft_two_sided(s: ComplexSignal, window: str = "none") -> Spectrum:
         x = s.samples * np.hanning(s.n)
     else:
         raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
-    bins = np.fft.fftshift(np.fft.fft(x))
+    spectrum = np.fft.fft(x)
+    # fftshift's rotation, as two slices: bin n - n//2 becomes the first
+    h = s.n - s.n // 2
+    bins = np.concatenate((spectrum[h:], spectrum[:h]))
     with np.errstate(over="ignore"):
         source_energy = _sum_sq(x) / s.sample_rate_hz
     if not np.isfinite(source_energy):
         raise ValueError("signal energy overflows double precision")
-    return Spectrum(bins, s.sample_rate_hz / s.n, source_energy)
+    return Spectrum(_sealed(bins), s.sample_rate_hz / s.n, source_energy)
 
 
 def band_report(sp: Spectrum) -> BandEnergyReport:
@@ -149,25 +154,26 @@ def occupied_range(sp: Spectrum) -> tuple[float, float]:
     hi = sp.n - 1 - int(np.searchsorted(rev, tail, side="right"))
     if lo > hi:
         lo = hi = int(np.argmax(energies))
-    freqs = sp.freq_axis_hz
-    return float(freqs[lo]), float(freqs[hi])
+    # the entries of freq_axis_hz at lo and hi, without building the axis
+    center = sp.n // 2
+    return float((lo - center) * sp.resolution_hz), float((hi - center) * sp.resolution_hz)
 
 
-#: ``(lo, hi)`` per signal.  Signals are immutable and compare by identity,
-#: so an entry stays valid until the signal is collected; only the two
-#: floats are kept, never the spectrum.
-_EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float]] = WeakKeyDictionary()
+#: ``(lo, hi)`` per signal, or ``None`` for an all-zero one.  Signals are
+#: immutable and compare by identity, so an entry stays valid until the
+#: signal is collected; only the two floats are kept, never the spectrum.
+_EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float] | None] = WeakKeyDictionary()
 
 
-def occupied_extent(s: ComplexSignal) -> tuple[float, float]:
-    """The ``occupied_range`` of the signal's spectrum, once per signal.
+def occupied_extent(s: ComplexSignal) -> tuple[float, float] | None:
+    """The ``occupied_range`` of the signal's spectrum, or ``None`` when
+    every sample is zero and no band is occupied; worked out once per signal.
 
     This is the bandwidth guard every chain checks its preconditions with.
     """
-    extent = _EXTENTS.get(s)
-    if extent is None:
-        extent = _EXTENTS[s] = occupied_range(dft_two_sided(s))
-    return extent
+    if s not in _EXTENTS:
+        _EXTENTS[s] = occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
+    return _EXTENTS[s]
 
 
 def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
@@ -175,14 +181,11 @@ def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
     over the frequencies ``occupied_range`` keeps.  The default measures
     DC-centered content; ``f_center`` set to a carrier measures the bands
     around +/- that carrier.  Zero for an all-zero signal."""
-    if energy_is_zero(s):
+    extent = occupied_extent(s)
+    if extent is None:
         return 0.0
-    lo, hi = occupied_extent(s)
+    lo, hi = extent
     return 2.0 * max(hi - f_center, -lo - f_center, 0.0)
-
-
-def energy_is_zero(s: ComplexSignal) -> bool:
-    return not np.any(s.samples)
 
 
 def _mirror_pairs(sp: Spectrum) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import carrierlab
 from carrierlab import ScenarioConfig, SCENARIOS, execute_scenario, run_scenario, verify_run
 from carrierlab.cli import main
 from carrierlab.scenarios import MAX_SAMPLES, parse_config_text
-from carrierlab import sigio
+from carrierlab import scenarios, signals, sigio
 
 # desk-scale configuration: same structure as the defaults, 8x smaller
 SMALL = dict(
@@ -136,6 +136,21 @@ class TestScenarioRuns:
         for name in ("config.txt", "spectrum_baseband.csv", "signal_demodulated.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("scenario", ["group_laws", "fig5"])
+    def test_cold_and_warm_shaping_memo_give_the_same_bytes(self, scenario, tmp_path):
+        cfg = ScenarioConfig(scenario=scenario, n_samples=4096)
+        signals._pulse_rows.cache_clear()
+        run_scenario(cfg, tmp_path / "cold")
+        hits = signals._pulse_rows.cache_info().hits
+        run_scenario(cfg, tmp_path / "warm")
+        assert signals._pulse_rows.cache_info().hits > hits
+        names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+        assert "report.txt" in names
+        for name in names:
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes(), name
+        assert not signals._pulse_rows(cfg.samples_per_symbol, cfg.rolloff).flags.writeable
+
     def test_compare_chains_report(self):
         report, _ = execute_scenario(small_config("compare"))
         assert report.scenario_id == "compare"
@@ -196,16 +211,19 @@ class TestVerdictEnvelope:
         assert {v.name for v in report.verdicts if not v.passed} == failing
 
     @pytest.mark.parametrize(
-        "scenario, message",
+        "scenario, message, shapes",
         [
-            pytest.param("fig10", "band move by .* past the Nyquist limit", id="fig10"),
-            pytest.param("compare", "band move by .* past the Nyquist limit", id="compare"),
-            pytest.param("group_laws", "carrier frequency .* violates the Nyquist limit", id="group_laws"),
+            pytest.param("fig10", "band move by .* past the Nyquist limit", True, id="fig10"),
+            pytest.param("compare", "band move by .* past the Nyquist limit", True, id="compare"),
+            # rejected before the first of its band-move trials
+            pytest.param("group_laws", "carrier frequency .* violates the Nyquist limit", False, id="group_laws"),
         ],
     )
-    def test_carrier_at_a_quarter_of_the_rate_is_rejected(self, scenario, message):
+    def test_carrier_at_a_quarter_of_the_rate_is_rejected(self, scenario, message, shapes, monkeypatch):
         cfg = ScenarioConfig(scenario=scenario, n_samples=4096, sample_rate_hz=32768.0)
         cfg.validate()  # accepted; the chain's own guard rejects it
+        if not shapes:
+            monkeypatch.setattr(scenarios, "_make_baseband", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ValueError, match=message):
             execute_scenario(cfg)
 

@@ -70,6 +70,41 @@ class TestComplexSignal:
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
 
+    def test_writable_array_is_copied(self):
+        values = np.arange(4, dtype=np.complex128)
+        s = ComplexSignal(values, FS)
+        assert s.samples is not values
+        values[0] = 9.0
+        np.testing.assert_array_equal(s.samples, np.arange(4))
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = np.arange(8, dtype=np.complex128)
+        view = base[2:6]
+        view.setflags(write=False)
+        s = ComplexSignal(view, FS)
+        assert s.samples is not view
+        base[2:6] = 9.0
+        np.testing.assert_array_equal(s.samples, np.arange(2, 6))
+
+    def test_read_only_owned_complex128_array_is_adopted(self):
+        values = np.arange(4, dtype=np.complex128)
+        values.setflags(write=False)
+        assert ComplexSignal(values, FS).samples is values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.array([1.0, np.nan], dtype=np.complex128), id="nan"),
+            pytest.param(np.array([1.0, 1j * np.inf], dtype=np.complex128), id="inf"),
+            pytest.param(np.ones((2, 2), dtype=np.complex128), id="2-d"),
+        ],
+    )
+    def test_adoptable_array_is_still_checked(self, values):
+        values.setflags(write=False)
+        assert values.flags.owndata
+        with pytest.raises(ValueError):
+            ComplexSignal(values, FS)
+
     def test_steady_trims_both_edges(self):
         s = ComplexSignal(np.arange(10, dtype=complex), FS, transient=2)
         np.testing.assert_array_equal(s.steady(), np.arange(2, 8))

@@ -9,12 +9,15 @@ from hypothesis.extra import numpy as hnp
 from carrierlab import (
     CarrierConfig,
     ComplexSignal,
+    Constellation,
+    SymbolStream,
     add,
     band_report,
     conj_mirror_correlation,
     conj_mirror_error,
     dft_two_sided,
     energy,
+    generate_baseband,
     multiply,
     occupied_bandwidth,
     occupied_range,
@@ -22,6 +25,7 @@ from carrierlab import (
     peak_frequency,
     real_part,
 )
+from carrierlab.spectrum import OCCUPIED_FRACTION, occupied_extent
 
 FS = 1024.0
 N = 1024
@@ -227,6 +231,67 @@ class TestOccupied:
     def test_zero_spectrum_rejected(self):
         with pytest.raises(ValueError):
             occupied_range(dft_two_sided(_signal(np.zeros(16))))
+
+
+def _guard_oracle(s):
+    """Bins, bin energies and occupied range by the plain formulas: fftshift
+    of the FFT, ``(re**2 + im**2) / (n * fs)`` with the rate rebuilt from the
+    resolution as ``Spectrum.sample_rate_hz`` does, and the trimmed tails'
+    edges read off ``freq_axis_hz``'s ``(arange(n) - n // 2) * resolution``."""
+    n = s.n
+    resolution = s.sample_rate_hz / n
+    bins = np.fft.fftshift(np.fft.fft(s.samples))
+    energies = (bins.real**2 + bins.imag**2) / (n * (resolution * n))
+    total = float(np.sum(energies))
+    if total <= 0.0:
+        return bins, energies, None
+    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * total
+    lo = int(np.searchsorted(np.cumsum(energies), tail, side="right"))
+    hi = n - 1 - int(np.searchsorted(np.cumsum(energies[::-1]), tail, side="right"))
+    if lo > hi:
+        lo = hi = int(np.argmax(energies))
+    freqs = (np.arange(n) - n // 2) * resolution
+    return bins, energies, (float(freqs[lo]), float(freqs[hi]))
+
+
+def _guard_corpus():
+    rng = np.random.default_rng(2010)
+    fs = 65536.0
+    cases = {}
+    for n in (1024, 4096, 16384):
+        msg = SymbolStream.random(Constellation.QPSK, n // 64, seed=n)
+        bb = generate_baseband(msg, 64, "raised_cosine", rolloff=0.25, sample_rate_hz=fs)
+        cases[f"baseband-{n}"] = bb
+        shift = float(rng.integers(-8192, 8193))
+        cases[f"baseband-{n}-moved-{shift:+.0f}Hz"] = multiply(bb, oscillator(CarrierConfig(shift), n, fs))
+    for n in (4096, 5, 7, 4097):
+        cases[f"noise-{n}"] = _signal(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs=fs)
+    cases["tone"] = oscillator(CarrierConfig(-3000.0), 4096, fs)
+    cases["zeros"] = _signal(np.zeros(4096), fs=fs)
+    return cases
+
+
+GUARD_CORPUS = _guard_corpus()
+
+
+class TestGuardOracle:
+    """The guard path is bitwise the plain formulas it was first written as."""
+
+    @pytest.mark.parametrize("name", list(GUARD_CORPUS))
+    def test_bitwise_the_plain_formulas(self, name):
+        s = GUARD_CORPUS[name]
+        bins, energies, extent = _guard_oracle(s)
+        sp = dft_two_sided(s)
+        assert sp.bins.tobytes() == bins.tobytes()
+        assert sp.bin_energies().tobytes() == energies.tobytes()
+        if extent is None:
+            assert occupied_extent(s) is None
+            assert occupied_bandwidth(s) == 0.0
+            with pytest.raises(ValueError):
+                occupied_range(sp)
+        else:
+            assert np.array(occupied_range(sp)).tobytes() == np.array(extent).tobytes()
+            assert np.array(occupied_extent(s)).tobytes() == np.array(extent).tobytes()
 
 
 class TestSpectrumInvariants:
