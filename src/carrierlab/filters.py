@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signals import ComplexSignal
+from .signals import ComplexSignal, _sealed
 
 #: Hard cap on designed filter length.
 MAX_TAPS = 4097
@@ -61,8 +61,7 @@ def _kaiser_lowpass(numtaps: int, right: float, beta: float) -> np.ndarray:
     # scipy.signal.windows.kaiser(numtaps, beta), whose n - alpha is m
     h *= _i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / _i0(np.array([beta]))
     h /= np.sum(h)  # firwin's sum(h * cos(pi * m * 0.0)): every cosine is 1.0
-    h.setflags(write=False)
-    return h
+    return _sealed(h)
 
 
 def kaiser_order(spec: FilterSpec, sample_rate_hz: float) -> tuple[int, float]:

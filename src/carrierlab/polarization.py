@@ -6,7 +6,8 @@ positive-frequency tone becomes a right-hand circularly polarized pair
 (cos, sin), a negative-frequency tone the left-hand pair, and a real-valued
 signal is linearly polarized (one component identically zero).  The channel
 model adds seeded per-component Gaussian noise and optional real-valued
-crosstalk between the components.
+crosstalk between the components.  A ``PolarizedPair`` takes its float64
+components by the rule of every value type, ``signals._adopt``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .signals import ComplexSignal
+from .signals import ComplexSignal, _adopt, _sealed
 from .spectrum import band_report, dft_two_sided
 
 #: Band-energy fraction above which a pair is classified as circular.
@@ -39,20 +40,18 @@ class PolarizedPair:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        comp_y = np.array(self.comp_y, dtype=np.float64)
-        comp_z = np.array(self.comp_z, dtype=np.float64)
+        comp_y = _adopt(self.comp_y, np.float64)
+        comp_z = _adopt(self.comp_z, np.float64)
         if comp_y.ndim != 1 or comp_z.ndim != 1:
             raise ValueError("field components must be one-dimensional")
         if comp_y.size != comp_z.size:
             raise ValueError("field components must have equal lengths")
         if comp_y.size < 1:
             raise ValueError("a polarized pair must contain at least one sample")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not np.all(np.isfinite(comp_y)) or not np.all(np.isfinite(comp_z)):
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError("sample_rate_hz must be positive and finite")
+        if not np.isfinite(comp_y).all() or not np.isfinite(comp_z).all():
             raise ValueError("field components must be finite")
-        comp_y.setflags(write=False)
-        comp_z.setflags(write=False)
         object.__setattr__(self, "comp_y", comp_y)
         object.__setattr__(self, "comp_z", comp_z)
 
@@ -83,7 +82,7 @@ def to_polarized(s: ComplexSignal) -> PolarizedPair:
 
 def from_polarized(p: PolarizedPair) -> ComplexSignal:
     """Exact inverse of :func:`to_polarized`."""
-    return ComplexSignal(p.comp_y + 1j * p.comp_z, p.sample_rate_hz)
+    return ComplexSignal(_sealed(p.comp_y + 1j * p.comp_z), p.sample_rate_hz)
 
 
 def pair_energy(p: PolarizedPair) -> float:
@@ -107,7 +106,7 @@ def transmit(p: PolarizedPair, ch: ChannelConfig) -> PolarizedPair:
         noise_z = ch.noise_sigma * rng.standard_normal(p.n)
         out_y = keep * p.comp_y + ch.crosstalk * p.comp_z + noise_y
         out_z = keep * p.comp_z + ch.crosstalk * p.comp_y + noise_z
-    return PolarizedPair(out_y, out_z, p.sample_rate_hz)
+    return PolarizedPair(_sealed(out_y), _sealed(out_z), p.sample_rate_hz)
 
 
 def detect_handedness(p: PolarizedPair) -> Handedness:

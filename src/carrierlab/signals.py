@@ -2,10 +2,11 @@
 and seeded baseband message generation.
 
 All values are immutable and every operation is a pure function returning a
-new signal, so everything here is safe to share across threads.  A
-``ComplexSignal`` adopts a read-only complex128 array that owns its data as
-it is (the operations here build theirs so) and copies anything else.
-Raised-cosine shaping memoises its pulse per (samples per symbol, rolloff).
+new signal, so everything here is safe to share across threads.  All four
+value types (``ComplexSignal``, ``SymbolStream``, ``Spectrum``,
+``PolarizedPair``) take arrays through ``_adopt``: a read-only array of the
+type's dtype that owns its data is held as it is, anything else is copied.
+Producers and memos seal what they build with ``_sealed``.
 
 Two conventions matter throughout:
 
@@ -51,7 +52,7 @@ class ComplexSignal:
 
     Attributes:
         samples: complex128 array, length >= 1, all values finite.
-        sample_rate_hz: sampling rate, > 0.
+        sample_rate_hz: sampling rate, finite and > 0.
         transient: number of leading and trailing samples contaminated by
             filter edge effects; 0 for freshly generated signals.
     """
@@ -66,8 +67,8 @@ class ComplexSignal:
             raise ValueError("samples must be a one-dimensional sequence")
         if samples.size < 1:
             raise ValueError("a signal must contain at least one sample")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError("sample_rate_hz must be positive and finite")
         if not np.isfinite(samples).all():
             raise ValueError("signal samples must be finite (no NaN/Inf)")
         if self.transient < 0:
@@ -85,13 +86,13 @@ class ComplexSignal:
         return self.samples[self.transient : self.n - self.transient]
 
 
-def _adopt(a) -> np.ndarray:
-    """``a`` as a read-only complex128 array: ``a`` itself when it is one and
+def _adopt(a, dtype=np.complex128) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array: ``a`` itself when it is one and
     owns its data (its holder hands it over; nothing may unseal it or write
     through an older view), else a copy that writes to ``a`` cannot reach."""
-    if isinstance(a, np.ndarray) and a.dtype == np.complex128 and a.flags.owndata and not a.flags.writeable:
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
         return a
-    return _sealed(np.array(a, dtype=np.complex128))
+    return _sealed(np.array(a, dtype=dtype))
 
 
 def _sealed(fresh: np.ndarray) -> np.ndarray:
@@ -130,14 +131,11 @@ class Constellation(Enum):
 
 _CONSTELLATION_POINTS = {
     # 4-PSK on the axes; unit modulus, so unit average power as well
-    Constellation.QPSK: np.array([1 + 0j, 1j, -1 + 0j, -1j]),
-    Constellation.QAM16: np.array(
-        [i + 1j * q for i in (-3.0, -1.0, 1.0, 3.0) for q in (-3.0, -1.0, 1.0, 3.0)]
-    )
-    / np.sqrt(10.0),
+    Constellation.QPSK: _sealed(np.array([1 + 0j, 1j, -1 + 0j, -1j])),
+    Constellation.QAM16: _sealed(
+        np.array([i + 1j * q for i in (-3.0, -1.0, 1.0, 3.0) for q in (-3.0, -1.0, 1.0, 3.0)]) / np.sqrt(10.0)
+    ),
 }
-for _pts in _CONSTELLATION_POINTS.values():
-    _pts.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +146,11 @@ class SymbolStream:
     constellation: Constellation
 
     def __post_init__(self) -> None:
-        symbols = np.array(self.symbols, dtype=np.complex128)
+        symbols = _adopt(self.symbols)
         if symbols.ndim != 1 or symbols.size < 1:
             raise ValueError("a symbol stream must contain at least one symbol")
         if not np.all(np.isin(symbols, self.constellation.points)):
             raise ValueError(f"symbols contain points outside the {self.constellation.value} set")
-        symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
 
     @classmethod
@@ -164,7 +161,7 @@ class SymbolStream:
         rng = np.random.Generator(np.random.PCG64(seed))
         points = constellation.points
         idx = rng.integers(0, points.size, size=count)
-        return cls(points[idx], constellation)
+        return cls(_sealed(points[idx]), constellation)
 
 
 #: Largest sample rate whose on-grid oscillators are gathered from a table;
@@ -181,22 +178,13 @@ def _carrier(cycles: np.ndarray, phase_rad: float) -> np.ndarray:
 @cache
 def _carrier_table(fs: int) -> np.ndarray:
     """Read-only ``_carrier(j/fs, 0.0)`` for ``j`` in ``[0, 2*fs)``, ``fs``
-    a power of two.
-
-    Only the first cycle and the second cycle's half-cycle tie are
-    evaluated: elsewhere ``c + 1 - round(c + 1)`` is ``c - round(c)``, but
-    the tie at ``c = 1.5`` rounds to 2 where the one at 0.5 rounds to 0.
-    """
+    a power of two."""
     table = np.empty(2 * fs, dtype=np.complex128)
     # evaluated in blocks, so that the temporaries stay small beside the table
-    for lo in range(0, fs, _TABLE_BLOCK):
-        hi = min(lo + _TABLE_BLOCK, fs)
+    for lo in range(0, 2 * fs, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, 2 * fs)
         table[lo:hi] = _carrier(np.arange(lo, hi) / fs, 0.0)
-    table[fs:] = table[:fs]
-    tie = fs + fs // 2
-    table[tie] = _carrier(np.array([tie / fs]), 0.0)[0]
-    table.setflags(write=False)
-    return table
+    return _sealed(table)
 
 
 def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> ComplexSignal:

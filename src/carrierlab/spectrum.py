@@ -24,8 +24,9 @@ class Spectrum:
     """Two-sided DFT view of a signal.
 
     ``bins`` run from -fs/2 toward +fs/2 in steps of ``resolution_hz``, at
-    the frequencies ``freq_axis_hz`` derives from the two; ``source_energy``
-    is the time-domain energy of the analyzed (possibly windowed) samples.
+    the frequencies ``freq_axis_hz`` derives from the two (bin ``n // 2``
+    is DC); ``source_energy`` is the time-domain energy of the analyzed
+    (possibly windowed) samples.
     """
 
     bins: np.ndarray
@@ -36,8 +37,10 @@ class Spectrum:
         bins = _adopt(self.bins)
         if bins.ndim != 1:
             raise ValueError("bins must be one-dimensional")
-        if not self.resolution_hz > 0:
-            raise ValueError("resolution_hz must be positive")
+        if not 0 < self.resolution_hz < np.inf:
+            raise ValueError("resolution_hz must be positive and finite")
+        if not 0 <= self.source_energy < np.inf:
+            raise ValueError("source_energy must be nonnegative and finite")
         object.__setattr__(self, "bins", bins)
         # an overflow (Inf) is rejected once, here, for every later bin_energies()
         with np.errstate(over="ignore"):
@@ -111,10 +114,10 @@ def band_report(sp: Spectrum) -> BandEnergyReport:
     total = float(np.sum(energies))
     if total <= 0.0:
         raise ValueError("cannot partition an all-zero spectrum")
-    freqs = sp.freq_axis_hz
-    l_band = float(np.sum(energies[freqs < 0]))
-    r_band = float(np.sum(energies[freqs > 0]))
-    dc = float(np.sum(energies[freqs == 0]))
+    center = sp.n // 2
+    l_band = float(np.sum(energies[:center]))
+    r_band = float(np.sum(energies[center + 1 :]))
+    dc = float(energies[center])
     return BandEnergyReport(l_band, r_band, dc, total, l_band / total, r_band / total)
 
 
@@ -128,7 +131,7 @@ def peak_frequency(sp: Spectrum) -> float:
     peak = energies.max()
     if peak <= 0.0:
         raise ValueError("cannot locate a peak in an all-zero spectrum")
-    candidates = sp.freq_axis_hz[energies == peak]
+    candidates = (np.flatnonzero(energies == peak) - sp.n // 2) * sp.resolution_hz
     order = np.lexsort((candidates, np.abs(candidates)))
     return float(candidates[order[0]])
 

@@ -79,9 +79,10 @@ class TestPairInvariants:
         with pytest.raises(ValueError):
             PolarizedPair(np.array([1.0, np.inf]), np.ones(2), FS)
 
-    def test_bad_rate_rejected(self):
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_rate_rejected(self, rate):
         with pytest.raises(ValueError):
-            PolarizedPair(np.ones(4), np.ones(4), 0.0)
+            PolarizedPair(np.ones(4), np.ones(4), rate)
 
     def test_components_read_only(self):
         pair = PolarizedPair(np.ones(4), np.ones(4), FS)

@@ -10,6 +10,8 @@ from carrierlab import (
     CarrierConfig,
     ComplexSignal,
     Constellation,
+    PolarizedPair,
+    Spectrum,
     SymbolStream,
     add,
     dft_two_sided,
@@ -41,6 +43,17 @@ complex_arrays = hnp.arrays(
 
 on_grid_freqs = st.integers(min_value=-1023, max_value=1023).map(float)
 
+_QPSK8 = np.resize(Constellation.QPSK.points, 8)
+
+#: Every value type that holds arrays: eight values it accepts, in the dtype
+#: it holds, and how to build one from an array and read back what it holds.
+VALUE_TYPES = {
+    "ComplexSignal": (_QPSK8, lambda a: ComplexSignal(a, FS).samples),
+    "Spectrum": (_QPSK8, lambda a: Spectrum(a, 1.0, 0.0).bins),
+    "PolarizedPair": (_QPSK8.real.copy(), lambda a: PolarizedPair(a, a, FS).comp_y),
+    "SymbolStream": (_QPSK8, lambda a: SymbolStream(a, Constellation.QPSK).symbols),
+}
+
 
 class TestComplexSignal:
     def test_rejects_empty(self):
@@ -55,11 +68,10 @@ class TestComplexSignal:
         with pytest.raises(ValueError):
             ComplexSignal(np.array([-np.inf + 0j, 1j * np.nan]), FS)
 
-    def test_rejects_nonpositive_rate(self):
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_nonpositive_or_nonfinite_rate(self, rate):
         with pytest.raises(ValueError):
-            ComplexSignal(np.ones(4), 0.0)
-        with pytest.raises(ValueError):
-            ComplexSignal(np.ones(4), -1.0)
+            ComplexSignal(np.ones(4), rate)
 
     def test_rejects_negative_transient(self):
         with pytest.raises(ValueError):
@@ -70,40 +82,49 @@ class TestComplexSignal:
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
 
-    def test_writable_array_is_copied(self):
-        values = np.arange(4, dtype=np.complex128)
-        s = ComplexSignal(values, FS)
-        assert s.samples is not values
+    @pytest.mark.parametrize("kind", list(VALUE_TYPES))
+    def test_writable_array_is_copied(self, kind):
+        accepted, held_by = VALUE_TYPES[kind]
+        values = accepted.copy()
+        held = held_by(values)
+        assert held is not values
         values[0] = 9.0
-        np.testing.assert_array_equal(s.samples, np.arange(4))
+        np.testing.assert_array_equal(held, accepted)
 
-    def test_read_only_view_of_writable_base_is_copied(self):
-        base = np.arange(8, dtype=np.complex128)
+    @pytest.mark.parametrize("kind", list(VALUE_TYPES))
+    def test_read_only_view_of_writable_base_is_copied(self, kind):
+        accepted, held_by = VALUE_TYPES[kind]
+        base = accepted.copy()
         view = base[2:6]
         view.setflags(write=False)
-        s = ComplexSignal(view, FS)
-        assert s.samples is not view
+        held = held_by(view)
+        assert held is not view
         base[2:6] = 9.0
-        np.testing.assert_array_equal(s.samples, np.arange(2, 6))
+        np.testing.assert_array_equal(held, accepted[2:6])
 
-    def test_read_only_owned_complex128_array_is_adopted(self):
-        values = np.arange(4, dtype=np.complex128)
+    @pytest.mark.parametrize("kind", list(VALUE_TYPES))
+    def test_read_only_owned_array_of_its_dtype_is_adopted(self, kind):
+        accepted, held_by = VALUE_TYPES[kind]
+        values = accepted.copy()
         values.setflags(write=False)
-        assert ComplexSignal(values, FS).samples is values
+        assert held_by(values) is values
 
+    @pytest.mark.parametrize("kind", list(VALUE_TYPES))
     @pytest.mark.parametrize(
         "values",
         [
-            pytest.param(np.array([1.0, np.nan], dtype=np.complex128), id="nan"),
-            pytest.param(np.array([1.0, 1j * np.inf], dtype=np.complex128), id="inf"),
-            pytest.param(np.ones((2, 2), dtype=np.complex128), id="2-d"),
+            pytest.param([1.0, np.nan], id="nan"),
+            pytest.param([1.0, np.inf], id="inf"),
+            pytest.param(np.ones((2, 2)), id="2-d"),
         ],
     )
-    def test_adoptable_array_is_still_checked(self, values):
+    def test_adoptable_array_is_still_checked(self, kind, values):
+        accepted, held_by = VALUE_TYPES[kind]
+        values = np.array(values, dtype=accepted.dtype)
         values.setflags(write=False)
         assert values.flags.owndata
         with pytest.raises(ValueError):
-            ComplexSignal(values, FS)
+            held_by(values)
 
     def test_steady_trims_both_edges(self):
         s = ComplexSignal(np.arange(10, dtype=complex), FS, transient=2)
@@ -141,11 +162,10 @@ class TestOscillator:
         s = oscillator(CarrierConfig(f), n, FS)
         np.testing.assert_allclose(np.abs(s.samples), 1.0, atol=1e-12)
 
-    def test_nyquist_violation_rejected(self):
+    @pytest.mark.parametrize("f, fs", [(FS / 2, FS), (-FS, FS), (1.0, np.inf), (1.0, np.nan)])
+    def test_nyquist_violation_or_nonfinite_rate_rejected(self, f, fs):
         with pytest.raises(ValueError):
-            oscillator(CarrierConfig(FS / 2), 8, FS)
-        with pytest.raises(ValueError):
-            oscillator(CarrierConfig(-FS), 8, FS)
+            oscillator(CarrierConfig(f), 8, fs)
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):

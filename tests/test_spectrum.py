@@ -1,5 +1,7 @@
 """Tests for the two-sided spectrum analyzer and band accounting."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -292,14 +294,35 @@ class TestGuardOracle:
         else:
             assert np.array(occupied_range(sp)).tobytes() == np.array(extent).tobytes()
             assert np.array(occupied_extent(s)).tobytes() == np.array(extent).tobytes()
+            # band_report and peak_frequency index bins from n // 2; the
+            # masks over freq_axis_hz they were written with give the same bits
+            freqs = sp.freq_axis_hz
+            l_band, r_band = np.sum(energies[freqs < 0]), np.sum(energies[freqs > 0])
+            total = np.sum(energies)
+            masked = (l_band, r_band, np.sum(energies[freqs == 0]), total, l_band / total, r_band / total)
+            assert np.array(astuple(band_report(sp))).tobytes() == np.array(masked).tobytes()
+            candidates = freqs[energies == energies.max()]
+            peak = candidates[np.lexsort((candidates, np.abs(candidates)))[0]]
+            assert np.float64(peak_frequency(sp)).tobytes() == np.float64(peak).tobytes()
 
 
 class TestSpectrumInvariants:
-    def test_parseval_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "resolution, source_energy",
+        [
+            pytest.param(1.0, 99.0, id="parseval"),
+            pytest.param(np.inf, 0.0, id="inf-resolution"),
+            pytest.param(np.nan, 0.0, id="nan-resolution"),
+            pytest.param(1.0, np.nan, id="nan-energy"),
+            pytest.param(1.0, np.inf, id="inf-energy"),
+            pytest.param(1.0, -1.0, id="negative-energy"),
+        ],
+    )
+    def test_inconsistent_scalars_rejected(self, resolution, source_energy):
         from carrierlab import Spectrum
 
         with pytest.raises(ValueError):
-            Spectrum(np.ones(4, dtype=complex), 1.0, 99.0)
+            Spectrum(np.ones(4, dtype=complex), resolution, source_energy)
 
     def test_energy_scaling_under_amplitude(self):
         s = _osc(32.0)
