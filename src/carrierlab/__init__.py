@@ -61,7 +61,7 @@ from .spectrum import (
     conj_mirror_error,
     dft_two_sided,
     occupied_bandwidth,
-    occupied_range,
+    occupied_extent,
     peak_frequency,
 )
 
@@ -104,7 +104,7 @@ __all__ = [
     "generate_baseband",
     "multiply",
     "occupied_bandwidth",
-    "occupied_range",
+    "occupied_extent",
     "oscillator",
     "pair_energy",
     "peak_frequency",

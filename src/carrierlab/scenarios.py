@@ -609,25 +609,25 @@ SCENARIO_DESCRIPTIONS = {name: description for name, (_, description) in _SCENAR
 
 
 def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[str, Any]]]:
-    """Run a scenario in memory; returns the report and the artifacts as
-    ``name -> (kind, data)``.  ``config.txt`` has kind ``"config"`` and the
-    configuration as data; every other kind is a ``sigio.SCHEMAS`` table."""
+    """Run a scenario in memory; returns the report and the CSV artifacts as
+    ``name -> (kind, data)``, each kind a ``sigio.SCHEMAS`` table.  The
+    report lists ``config.txt`` first, which ``run_scenario`` writes."""
     cfg.validate()
     build, _ = _SCENARIO_TABLE[cfg.scenario]
     metrics, verdicts, artifacts = build(cfg)
-    all_artifacts = {"config.txt": ("config", cfg), **artifacts}
     report = RunReport(
         scenario_id=cfg.scenario,
         config_digest=cfg.digest(),
-        artifacts=list(all_artifacts),
+        artifacts=["config.txt", *artifacts],
         metrics=metrics,
         verdicts=verdicts,
     )
-    return report, all_artifacts
+    return report, artifacts
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
-    """Run a scenario and write its artifacts plus report.txt to ``out_dir``.
+    """Run a scenario and write config.txt, its artifacts and report.txt to
+    ``out_dir``.
 
     An ``OSError`` while writing removes every file this call opened before
     it propagates, so a failed run leaves no partial run behind.
@@ -643,16 +643,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
             fh.write(text)
 
     try:
+        write("config.txt", cfg.to_text())
         # each artifact is formatted just before it is written, so that only
-        # one file's text is held at a time
+        # one file's text is held at a time; the writer is looked up on the
+        # module at each call, so that wrappers installed there for
+        # profiling see every write
         for name, (kind, data) in artifacts.items():
-            if kind == "config":
-                text = data.to_text()
-            else:
-                # looked up on the module at each call, so that wrappers
-                # installed there for profiling see every write
-                text = getattr(sigio, f"{kind}_csv_text")(data)
-            write(name, text)
+            write(name, getattr(sigio, f"{kind}_csv_text")(data))
         write("report.txt", report.to_text())
     except OSError:
         for path in written:
@@ -760,8 +757,6 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         if divergence is not None:
             messages.append(f"{name} {divergence}")
     for name, (kind, data) in artifacts.items():
-        if kind == "config":  # compared as text above
-            continue
         parsed, fault = _load(out, name, getattr(sigio, f"read_{kind}_csv"))  # on the module, as in run_scenario
         if fault is not None:
             messages.append(fault)

@@ -9,14 +9,12 @@ that spectral energy and the time-domain energy ``sum(|x|^2)/fs`` agree
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .signals import ComplexSignal, _adopt, _sealed, _sum_sq
-
-WINDOWS = ("none", "hann")
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,13 +23,12 @@ class Spectrum:
 
     ``bins`` run from -fs/2 toward +fs/2 in steps of ``resolution_hz``, at
     the frequencies ``freq_axis_hz`` derives from the two (bin ``n // 2``
-    is DC); ``source_energy`` is the time-domain energy of the analyzed
-    (possibly windowed) samples.
+    is DC); ``energy``, the sum of ``bin_energies()``, is derived from them.
     """
 
     bins: np.ndarray
     resolution_hz: float
-    source_energy: float
+    energy: float = field(init=False)
 
     def __post_init__(self) -> None:
         bins = _adopt(self.bins)
@@ -39,16 +36,14 @@ class Spectrum:
             raise ValueError("bins must be one-dimensional")
         if not 0 < self.resolution_hz < np.inf:
             raise ValueError("resolution_hz must be positive and finite")
-        if not 0 <= self.source_energy < np.inf:
-            raise ValueError("source_energy must be nonnegative and finite")
         object.__setattr__(self, "bins", bins)
-        # an overflow (Inf) is rejected once, here, for every later bin_energies()
+        # NaN/Inf bins and an overflow are rejected once, here, for every
+        # later bin_energies()
         with np.errstate(over="ignore"):
-            spectral = float(np.sum(self.bin_energies()))
-        if not np.isfinite(spectral):
-            raise ValueError("spectral energy overflows double precision")
-        if self.source_energy > 0 and abs(spectral - self.source_energy) > 1e-9 * self.source_energy:
-            raise ValueError("spectral energy does not match source_energy (Parseval violated)")
+            energy = float(np.sum(self.bin_energies()))
+        if not np.isfinite(energy):
+            raise ValueError("spectral bins are NaN/Inf or their energy overflows double precision")
+        object.__setattr__(self, "energy", energy)
 
     @property
     def freq_axis_hz(self) -> np.ndarray:
@@ -83,35 +78,29 @@ class BandEnergyReport:
     r_fraction: float
 
 
-def dft_two_sided(s: ComplexSignal, window: str = "none") -> Spectrum:
-    """DFT with the axis centered so negative frequencies precede positive.
-
-    ``window="hann"`` tapers the samples before transforming (useful for
-    plotting shaped spectra); exact bin identities need ``"none"``.
-    """
+def dft_two_sided(s: ComplexSignal) -> Spectrum:
+    """DFT with the axis centered so negative frequencies precede positive,
+    checked against the signal's energy ``sum(|x|^2)/fs`` (Parseval)."""
     if s.n < 2:
         raise ValueError("spectral analysis needs at least 2 samples")
-    if window == "none":
-        x = s.samples
-    elif window == "hann":
-        x = s.samples * np.hanning(s.n)
-    else:
-        raise ValueError(f"unknown window {window!r}; expected one of {WINDOWS}")
-    spectrum = np.fft.fft(x)
+    spectrum = np.fft.fft(s.samples)
     # fftshift's rotation, as two slices: bin n - n//2 becomes the first
     h = s.n - s.n // 2
     bins = np.concatenate((spectrum[h:], spectrum[:h]))
     with np.errstate(over="ignore"):
-        source_energy = _sum_sq(x) / s.sample_rate_hz
-    if not np.isfinite(source_energy):
+        source = _sum_sq(s.samples) / s.sample_rate_hz
+    if not np.isfinite(source):
         raise ValueError("signal energy overflows double precision")
-    return Spectrum(_sealed(bins), s.sample_rate_hz / s.n, source_energy)
+    sp = Spectrum(_sealed(bins), s.sample_rate_hz / s.n)
+    if source > 0 and abs(sp.energy - source) > 1e-9 * source:
+        raise ValueError("spectral energy does not match the signal's (Parseval violated)")
+    return sp
 
 
 def band_report(sp: Spectrum) -> BandEnergyReport:
     """Partition spectral energy into L-band, R-band and DC."""
     energies = sp.bin_energies()
-    total = float(np.sum(energies))
+    total = sp.energy
     if total <= 0.0:
         raise ValueError("cannot partition an all-zero spectrum")
     center = sp.n // 2
@@ -140,17 +129,13 @@ def peak_frequency(sp: Spectrum) -> float:
 OCCUPIED_FRACTION = 0.999
 
 
-def occupied_range(sp: Spectrum) -> tuple[float, float]:
-    """Frequency range holding ``OCCUPIED_FRACTION`` of the energy.
-
-    Trims up to ``(1 - OCCUPIED_FRACTION)/2`` of the total energy from each
-    tail and returns the (lowest, highest) surviving bin frequencies.
-    """
-    energies = sp.bin_energies()
-    total = float(np.sum(energies))
-    if total <= 0.0:
+def _occupied_range(sp: Spectrum) -> tuple[float, float]:
+    """Trims up to ``(1 - OCCUPIED_FRACTION)/2`` of the total energy from
+    each tail and returns the (lowest, highest) surviving bin frequencies."""
+    if sp.energy <= 0.0:
         raise ValueError("an all-zero spectrum occupies no band")
-    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * total
+    energies = sp.bin_energies()
+    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * sp.energy
     fwd = np.cumsum(energies)
     lo = int(np.searchsorted(fwd, tail, side="right"))
     rev = np.cumsum(energies[::-1])
@@ -169,19 +154,20 @@ _EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float] | None] = WeakKey
 
 
 def occupied_extent(s: ComplexSignal) -> tuple[float, float] | None:
-    """The ``occupied_range`` of the signal's spectrum, or ``None`` when
-    every sample is zero and no band is occupied; worked out once per signal.
+    """Frequency range holding ``OCCUPIED_FRACTION`` of the signal's
+    energy, or ``None`` when every sample is zero and no band is occupied;
+    worked out once per signal.
 
     This is the bandwidth guard every chain checks its preconditions with.
     """
     if s not in _EXTENTS:
-        _EXTENTS[s] = occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
+        _EXTENTS[s] = _occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
     return _EXTENTS[s]
 
 
 def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
     """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
-    over the frequencies ``occupied_range`` keeps.  The default measures
+    over the frequencies ``occupied_extent`` keeps.  The default measures
     DC-centered content; ``f_center`` set to a carrier measures the bands
     around +/- that carrier.  Zero for an all-zero signal."""
     extent = occupied_extent(s)

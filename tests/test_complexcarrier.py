@@ -105,7 +105,7 @@ class TestComplexDemodulate:
         b_half = 1.25 * 1024.0 / 2
         f = sp.freq_axis_hz
         near_dc = np.sum(sp.bin_energies()[(f >= -b_half) & (f < b_half)])
-        assert near_dc / sp.source_energy < 0.01
+        assert near_dc / sp.energy < 0.01
         assert abs(peak_frequency(sp)) == pytest.approx(2 * F_C, abs=b_half)
 
 

@@ -108,7 +108,7 @@ class TestScenarioRuns:
         failing = [v.name for v in report.verdicts if not v.passed]
         assert report.passed, f"failing checks: {failing}"
         assert report.scenario_id == scenario
-        assert "config.txt" in artifacts
+        assert report.artifacts == ["config.txt", *artifacts]
 
     def test_run_writes_declared_artifacts(self, tmp_path):
         out = tmp_path / "fig4"
@@ -171,9 +171,8 @@ class TestScenarioRuns:
             "    report, artifacts = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=32768))\n"
             "    print(report.to_text())\n"
             "    for name, (kind, data) in artifacts.items():\n"
-            "        if kind != 'config':\n"
-            "            cols = sigio.columns(kind, data).values()\n"
-            "            print(name, hashlib.sha256(b''.join(c.tobytes() for c in cols)).hexdigest())\n"
+            "        cols = sigio.columns(kind, data).values()\n"
+            "        print(name, hashlib.sha256(b''.join(c.tobytes() for c in cols)).hexdigest())\n"
         )
         src = str(Path(carrierlab.__file__).parents[1])
         reports = [
@@ -346,8 +345,6 @@ class TestVerifyRun:
         _, artifacts = execute_scenario(small_config("fig9"))
         expected = []
         for name, (kind, data) in artifacts.items():
-            if kind == "config":
-                continue
             header, columns = older[kind]
             rows = zip(*(col.tolist() for col in columns(data)))
             (fig9_run / name).write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))

@@ -49,7 +49,7 @@ _QPSK8 = np.resize(Constellation.QPSK.points, 8)
 #: it holds, and how to build one from an array and read back what it holds.
 VALUE_TYPES = {
     "ComplexSignal": (_QPSK8, lambda a: ComplexSignal(a, FS).samples),
-    "Spectrum": (_QPSK8, lambda a: Spectrum(a, 1.0, 0.0).bins),
+    "Spectrum": (_QPSK8, lambda a: Spectrum(a, 1.0).bins),
     "PolarizedPair": (_QPSK8.real.copy(), lambda a: PolarizedPair(a, a, FS).comp_y),
     "SymbolStream": (_QPSK8, lambda a: SymbolStream(a, Constellation.QPSK).symbols),
 }
@@ -433,7 +433,7 @@ class TestGenerateBaseband:
         edge = (1 + rolloff) * symbol_rate / 2 + sp.resolution_hz
         f = sp.freq_axis_hz
         inside = np.sum(sp.bin_energies()[(f >= -edge) & (f < edge + sp.resolution_hz / 2)])
-        assert inside / sp.source_energy >= 0.99
+        assert inside / sp.energy >= 0.99
 
     def test_symbol_instants_preserved(self):
         # raised-cosine pulse is zero at nonzero whole-symbol offsets
