@@ -100,6 +100,11 @@ class TestDftTwoSided:
         with pytest.raises(ValueError, match="Parseval"):
             dft_two_sided(_osc(4.0))
 
+    def test_overflowing_signal_rejected(self):
+        # the signal's own energy is checked before it is compared with the bins'
+        with pytest.raises(ValueError, match="signal energy overflows double precision"):
+            dft_two_sided(_signal([1e200, 1.0, 1.0, 1.0]))
+
 
 class TestParseval:
     @given(a=complex_arrays)
@@ -302,6 +307,8 @@ class TestSpectrumInvariants:
         [
             pytest.param(np.ones(4), np.inf, "resolution_hz", id="inf-resolution"),
             pytest.param(np.ones(4), np.nan, "resolution_hz", id="nan-resolution"),
+            pytest.param(np.ones(4), 0.0, "resolution_hz", id="zero-resolution"),
+            pytest.param(np.ones((2, 2)), 1.0, "one-dimensional", id="two-dimensional-bins"),
             pytest.param([1, np.nan, 1, 1], 1.0, "NaN/Inf", id="nan-bins"),
             pytest.param([1, complex(0, np.inf), 1, 1], 1.0, "NaN/Inf", id="inf-bins"),
             pytest.param([1e200, 1, 1, 1], 1.0, "energy overflows double precision", id="overflowing-bins"),
