@@ -26,7 +26,8 @@ def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal
     Energy is conserved and the output occupies a single band (negative for
     a negative carrier, positive for a positive one).  This is the one
     guarded shift: it raises ValueError when the moved content would leave
-    ``[-fs/2, fs/2)``; a zero shift and an all-zero signal are never checked.
+    ``[-fs/2, fs/2)``; a zero shift and a signal without energy are never
+    checked.
     """
     f = carrier.frequency_hz
     extent = occupied_extent(bb) if f != 0.0 else None

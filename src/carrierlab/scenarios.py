@@ -221,21 +221,17 @@ class RunReport:
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def lines(self) -> list[tuple[str, str, str]]:
-        """The report's lines, each as (text before, measured value, text
-        after); the value is "" on a line that holds none."""
-        verdict = {True: "pass", False: "fail"}
-        return [
-            (f"scenario: {self.scenario_id}", "", ""),
-            (f"config_digest: {self.config_digest}", "", ""),
-            *((f"artifact: {name}", "", "") for name in self.artifacts),
-            *((f"{key}: ", fmt(value), "") for key, value in self.metrics.items()),
-            *((f"{v.name}: ", v.measured, f" / {v.threshold} / {verdict[v.passed]}") for v in self.verdicts),
-            (f"verdict: {verdict[self.passed]}", "", ""),
-        ]
-
     def to_text(self) -> str:
-        return "".join(f"{head}{value}{tail}\n" for head, value, tail in self.lines())
+        verdict = {True: "pass", False: "fail"}
+        lines = [
+            f"scenario: {self.scenario_id}",
+            f"config_digest: {self.config_digest}",
+            *(f"artifact: {name}" for name in self.artifacts),
+            *(f"{key}: {fmt(value)}" for key, value in self.metrics.items()),
+            *(f"{v.name}: {v.measured} / {v.threshold} / {verdict[v.passed]}" for v in self.verdicts),
+            f"verdict: {verdict[self.passed]}",
+        ]
+        return "".join(f"{line}\n" for line in lines)
 
 
 def _check_below(name: str, value: float, limit: float) -> Verdict:
@@ -658,58 +654,42 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     return report
 
 
-#: a stored artifact value may differ from its recomputed value by this
-#: fraction of the recomputed column's peak magnitude (0 for an all-zero column)
-ARTIFACT_RTOL = 1e-9
-
-
 def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndarray]) -> str | None:
-    """Where ``stored`` first departs from ``fresh``: its first diverging row,
-    naming the column and both values; None when every row matches."""
+    """Where ``stored`` departs from ``fresh``, value for value: its first
+    diverging row, naming the column and both values, then how many values
+    differ and the largest difference beside its column's peak magnitude;
+    None when every value is equal."""
     n_stored = len(next(iter(stored.values())))
     n_fresh = len(next(iter(fresh.values())))
     if n_stored != n_fresh:
         return f"has {n_stored} rows, a fresh execution {n_fresh}"
-    first: tuple[int, str] | None = None
+    # column -> the rows where it differs, in column order
+    diverging: dict[str, np.ndarray] = {}
     for column, values in stored.items():
-        ref = fresh[column]
-        bad = np.flatnonzero(~(np.abs(values - ref) <= ARTIFACT_RTOL * np.max(np.abs(ref))))
-        if bad.size and (first is None or bad[0] < first[0]):
-            first = (int(bad[0]), column)
-    if first is None:
+        rows = np.flatnonzero(values != fresh[column])
+        if rows.size:
+            diverging[column] = rows
+    if not diverging:
         return None
-    row, column = first
+    column, rows = min(diverging.items(), key=lambda item: item[1][0])
+    row = rows[0]
+    largest = {c: float(np.max(np.abs(stored[c][r] - fresh[c][r]))) for c, r in diverging.items()}
+    worst = max(largest, key=largest.__getitem__)
+    count = sum(r.size for r in diverging.values())
     return (
         f"row {row + 1} column {column}: stored {fmt(stored[column][row])}, "
-        f"recomputed {fmt(fresh[column][row])}"
+        f"recomputed {fmt(fresh[column][row])}; {count} of {n_stored * len(stored)} values differ, "
+        f"the largest by {fmt(largest[worst])} in column {worst}, "
+        f"whose peak magnitude is {fmt(np.max(np.abs(fresh[worst])))}"
     )
 
 
-def _measured_close(stored: str, fresh: str) -> bool:
-    """Equal text, or two numbers within 1e-9, the stored one spelled as
-    ``fmt`` spells it (so no added blank, sign or exponent passes)."""
-    if stored == fresh:
-        return True
-    try:
-        a, b = float(stored), float(fresh)
-    except ValueError:
-        return False
-    return stored == fmt(a) and abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
-def _line_matches(line: str, head: str, value: str, tail: str) -> bool:
-    """``line`` reads ``head + value + tail``, with the value compared at 1e-9."""
-    middle = line[len(head) : len(line) - len(tail)]
-    return line == head + middle + tail and _measured_close(middle, value)
-
-
-def _text_divergence(stored: str, fresh: list[tuple[str, str, str]]) -> str | None:
-    """The first line of ``stored`` that departs from ``fresh`` (lines split
-    as ``RunReport.lines`` splits them), with both texts; None when every
-    line matches."""
-    for i, (line, parts) in enumerate(zip_longest(stored.splitlines(), fresh), start=1):
-        if line is None or parts is None or not _line_matches(line, *parts):
-            recomputed = "nothing" if parts is None else repr("".join(parts))
+def _text_divergence(stored: str, fresh: str) -> str | None:
+    """The first line of ``stored`` that differs from ``fresh``, with both
+    texts; None when every line matches."""
+    for i, (line, want) in enumerate(zip_longest(stored.splitlines(), fresh.splitlines()), start=1):
+        if line != want:
+            recomputed = "nothing" if want is None else repr(want)
             return f"line {i}: stored {'nothing' if line is None else repr(line)}, recomputed {recomputed}"
     return None
 
@@ -730,10 +710,9 @@ def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str |
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     """Re-check an existing run against a fresh execution of its stored
     configuration.  ``report.txt`` must match the fresh report line by line
-    (measured values at 1e-9, all other text exactly) and ``config.txt`` the
-    canonical text of its configuration.  Every artifact must exist, parse,
-    and match the recomputed table row by row (at ``ARTIFACT_RTOL`` of each
-    column's peak), and every verdict must pass.  A file that is missing or
+    and ``config.txt`` the canonical text of its configuration.  Every
+    artifact must exist, parse, and hold the recomputed table value for
+    value, exactly, and every verdict must pass.  A file that is missing or
     cannot be read or parsed fails the run with one message naming it."""
     out = Path(out_dir)
     texts = {}
@@ -749,11 +728,8 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         return False, [f"stored configuration does not execute: {exc}"]
 
     messages: list[str] = []
-    for name, lines in (
-        ("report.txt", fresh.lines()),
-        ("config.txt", [(line, "", "") for line in cfg.to_text().splitlines()]),
-    ):
-        divergence = _text_divergence(texts[name], lines)
+    for name, text in (("report.txt", fresh.to_text()), ("config.txt", cfg.to_text())):
+        divergence = _text_divergence(texts[name], text)
         if divergence is not None:
             messages.append(f"{name} {divergence}")
     for name, (kind, data) in artifacts.items():

@@ -310,18 +310,26 @@ def _pulse_rows(samples_per_symbol: int, rolloff: float) -> np.ndarray:
 
 def _polyphase(rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """The symbols, each followed by ``up - 1`` zeros, convolved with the
-    pulse held in ``rows`` (``up`` taps each), without the multiplies by
-    those zeros.  Rows are added in from the last to the first, the order of
-    ``scipy.signal.upfirdn(pulse, symbols, up=up)``, so the sums round alike
-    (complex rows give the products of float ones, which numpy casts first).
+    pulse held in ``rows`` (``up`` taps each) and cut to the ``up`` samples
+    per symbol that follow the pulse's center tap, ``RC_SPAN_SYMBOLS`` rows
+    in; a new read-only array.  Only the kept rows are built, without the
+    multiplies by those zeros.  Rows are added in from the last to the
+    first, the order of ``scipy.signal.upfirdn(pulse, symbols, up=up)``, so
+    the sums round alike (complex rows give the products of float ones,
+    which numpy casts first).
     """
     n, (n_rows, up) = symbols.size, rows.shape
-    out = np.zeros((n + n_rows - 1, up), dtype=np.complex128)
+    samples = np.zeros(n * up, dtype=np.complex128)
+    out = samples.reshape(n, up)
     term = np.empty((n, up), dtype=np.complex128)
     for j in range(n_rows - 1, -1, -1):
-        np.multiply(symbols[:, None], rows[j], out=term)
-        out[j : j + n] += term
-    return out.reshape(-1)
+        # symbol i lands on kept row i + j - RC_SPAN_SYMBOLS
+        shift = j - RC_SPAN_SYMBOLS
+        lo, hi = max(0, -shift), min(n, n - shift)
+        if lo < hi:
+            np.multiply(symbols[lo:hi, None], rows[j], out=term[: hi - lo])
+            out[lo + shift : hi + shift] += term[: hi - lo]
+    return _sealed(samples)
 
 
 def generate_baseband(
@@ -342,12 +350,10 @@ def generate_baseband(
     """
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be at least 1")
-    n_out = msg.symbols.size * samples_per_symbol
     if shaping == "rectangular":
-        samples = np.repeat(msg.symbols, samples_per_symbol)
+        samples = _sealed(np.repeat(msg.symbols, samples_per_symbol))
     elif shaping == "raised_cosine":
-        delay = RC_SPAN_SYMBOLS * samples_per_symbol  # the pulse's center tap
-        samples = _polyphase(_pulse_rows(samples_per_symbol, rolloff), msg.symbols)[delay : delay + n_out]
+        samples = _polyphase(_pulse_rows(samples_per_symbol, rolloff), msg.symbols)
     else:
         raise ValueError(f"unknown shaping {shaping!r}; expected 'rectangular' or 'raised_cosine'")
     return ComplexSignal(samples, sample_rate_hz)

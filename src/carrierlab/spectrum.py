@@ -129,11 +129,12 @@ def peak_frequency(sp: Spectrum) -> float:
 OCCUPIED_FRACTION = 0.999
 
 
-def _occupied_range(sp: Spectrum) -> tuple[float, float]:
+def _occupied_range(sp: Spectrum) -> tuple[float, float] | None:
     """Trims up to ``(1 - OCCUPIED_FRACTION)/2`` of the total energy from
-    each tail and returns the (lowest, highest) surviving bin frequencies."""
-    if sp.energy <= 0.0:
-        raise ValueError("an all-zero spectrum occupies no band")
+    each tail and returns the (lowest, highest) surviving bin frequencies;
+    None when the spectrum holds no energy."""
+    if sp.energy == 0.0:
+        return None
     energies = sp.bin_energies()
     tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * sp.energy
     fwd = np.cumsum(energies)
@@ -147,7 +148,7 @@ def _occupied_range(sp: Spectrum) -> tuple[float, float]:
     return float((lo - center) * sp.resolution_hz), float((hi - center) * sp.resolution_hz)
 
 
-#: ``(lo, hi)`` per signal, or ``None`` for an all-zero one.  Signals are
+#: ``(lo, hi)`` per signal, or ``None`` for one without energy.  Signals are
 #: immutable and compare by identity, so an entry stays valid until the
 #: signal is collected; only the two floats are kept, never the spectrum.
 _EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float] | None] = WeakKeyDictionary()
@@ -155,12 +156,14 @@ _EXTENTS: WeakKeyDictionary[ComplexSignal, tuple[float, float] | None] = WeakKey
 
 def occupied_extent(s: ComplexSignal) -> tuple[float, float] | None:
     """Frequency range holding ``OCCUPIED_FRACTION`` of the signal's
-    energy, or ``None`` when every sample is zero and no band is occupied;
+    energy, or ``None`` when its energy is zero (every sample is zero, or
+    too small for its square to be a double) and no band is occupied;
     worked out once per signal.
 
     This is the bandwidth guard every chain checks its preconditions with.
     """
     if s not in _EXTENTS:
+        # silence skips the DFT, which needs two samples, for the same None
         _EXTENTS[s] = _occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
     return _EXTENTS[s]
 
@@ -169,7 +172,7 @@ def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
     """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
     over the frequencies ``occupied_extent`` keeps.  The default measures
     DC-centered content; ``f_center`` set to a carrier measures the bands
-    around +/- that carrier.  Zero for an all-zero signal."""
+    around +/- that carrier.  Zero for a signal without energy."""
     extent = occupied_extent(s)
     if extent is None:
         return 0.0

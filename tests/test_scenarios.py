@@ -415,6 +415,89 @@ class TestVerifyRun:
         ), messages
 
 
+def _verify_output(out, capsys):
+    """Exit code and printed lines of ``carrierlab verify --out out``."""
+    code = main(["verify", "--out", str(out)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestVerifyIsExact:
+    """Changes far below any 1e-9 band, each caught by verify."""
+
+    def test_small_values_written_over_a_spectrum(self, tmp_path, capsys):
+        name = "spectrum_tone_after.csv"
+        run_scenario(ScenarioConfig(scenario="group_laws", n_samples=4096), tmp_path)
+        path = tmp_path / name
+        fresh = sigio.read_spectrum_csv(path)["re"]
+        peak = int(np.argmax(np.abs(fresh)))
+        header, *rows = path.read_text().splitlines()
+        for i, row in enumerate(rows):
+            if i != peak:
+                freq, _, im = row.split(",")
+                rows[i] = f"{freq},1e-06,{im}"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        others = np.delete(fresh, peak)
+        code, lines = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert lines == [
+            f"artifact {name} row 1 column re: stored 1e-06, recomputed {sigio.fmt(fresh[0])}; "
+            f"4095 of {3 * 4096} values differ, the largest by {sigio.fmt(np.max(np.abs(1e-06 - others)))} "
+            f"in column re, whose peak magnitude is {sigio.fmt(abs(fresh[peak]))}",
+            "verify: fail",
+        ]
+
+    def test_one_value_scaled_by_1e_11(self, tmp_path, capsys):
+        name = "signal_demodulated.csv"
+        run_scenario(small_config("fig9"), tmp_path)
+        path = tmp_path / name
+        fresh = sigio.read_signal_csv(path)["re"]
+        lines = path.read_text().splitlines()
+        cells = lines[37].split(",")  # data row 37; line 0 is the header
+        stored = float(cells[1]) * (1 + 1e-11)
+        assert stored != fresh[36]
+        cells[1] = repr(stored)
+        lines[37] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == [
+            f"artifact {name} row 37 column re: stored {sigio.fmt(stored)}, recomputed {sigio.fmt(fresh[36])}; "
+            f"1 of {3 * 8192} values differ, the largest by {sigio.fmt(abs(stored - fresh[36]))} "
+            f"in column re, whose peak magnitude is {sigio.fmt(np.max(np.abs(fresh)))}",
+            "verify: fail",
+        ]
+
+    def test_report_metric_scaled_by_1e_12(self, tmp_path, capsys):
+        run_scenario(small_config("fig9"), tmp_path)
+        path = tmp_path / "report.txt"
+        text = path.read_text()
+        line = re.search(r"^energy\.modulated: (\S+)$", text, flags=re.MULTILINE)
+        stored = f"energy.modulated: {float(line[1]) * (1 + 1e-12)!r}"
+        assert stored != line[0]
+        path.write_text(text.replace(line[0], stored))
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        # fig9's report: the three energies are lines 8-10
+        assert printed == [f"report.txt line 9: stored {stored!r}, recomputed {line[0]!r}", "verify: fail"]
+
+    def test_runs_verify_in_a_new_process_with_other_blas_threads(self, tmp_path):
+        # each run is written with one BLAS thread and verified, cold, with two
+        src = str(Path(carrierlab.__file__).parents[1])
+        for scenario in ("group_laws", "compare"):
+            out = str(tmp_path / scenario)
+            for threads, args in (
+                ("1", ["run", "--scenario", scenario, "--n-samples", "4096", "--out", out]),
+                ("2", ["verify", "--out", out]),
+            ):
+                done = subprocess.run(
+                    [sys.executable, "-m", "carrierlab.cli", *args],
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+                    capture_output=True,
+                    text=True,
+                )
+                assert done.returncode == 0, (scenario, args[0], done.stdout, done.stderr)
+
+
 class TestDroppedColumns:
     """The README's formulas rebuild the columns that artifacts no longer
     write from a dump and the run's config.txt, bit for bit."""

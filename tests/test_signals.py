@@ -463,6 +463,23 @@ class TestGenerateBaseband:
         with pytest.raises(ValueError):
             generate_baseband(msg, 0, "rectangular", sample_rate_hz=FS)
 
+    @pytest.mark.parametrize("shaping", ["rectangular", "raised_cosine"])
+    def test_samples_adopted_uncopied(self, shaping, monkeypatch):
+        # the shaping builds a new read-only array, which the signal holds
+        # as it is
+        msg = SymbolStream.random(Constellation.QAM16, 24, seed=7)
+        adopt = signals._adopt
+        adopted = []
+
+        def spy(a, dtype=np.complex128):
+            held = adopt(a, dtype)
+            adopted.append(held is a)
+            return held
+
+        monkeypatch.setattr(signals, "_adopt", spy)
+        generate_baseband(msg, 8, shaping, sample_rate_hz=FS)
+        assert adopted == [True]
+
     @pytest.mark.parametrize("n_samples", [4096, 65536])
     def test_default_config_matches_zero_stuffed_convolution_bitwise(self, n_samples):
         # the scenarios' default: QPSK, 64 samples per symbol, rolloff 0.25

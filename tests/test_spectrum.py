@@ -15,6 +15,7 @@ from carrierlab import (
     SymbolStream,
     add,
     band_report,
+    complex_modulate,
     conj_mirror_correlation,
     conj_mirror_error,
     dft_two_sided,
@@ -230,6 +231,14 @@ class TestOccupied:
 
     def test_silence_occupies_no_band(self):
         assert occupied_extent(_signal(np.zeros(16))) is None
+
+    def test_energy_that_underflows_occupies_no_band(self):
+        # every sample is nonzero, but every square underflows to zero
+        s = ComplexSignal(np.full(16, 1e-200 + 0j), 16.0)
+        assert occupied_extent(s) is None
+        assert occupied_bandwidth(s) == 0.0
+        moved = complex_modulate(s, CarrierConfig(4.0))
+        assert moved.samples.tobytes() == multiply(s, oscillator(CarrierConfig(4.0), 16, 16.0)).samples.tobytes()
 
 
 def _guard_oracle(s):
