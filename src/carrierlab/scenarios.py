@@ -1,9 +1,10 @@
 """Named end-to-end experiments with machine-checkable verdicts.
 
-Each scenario builds a signal chain, dumps per-stage spectrum CSVs, and
-evaluates a fixed set of pass/fail checks at frozen tolerances.  Reports are
-plain text, one ``name: measured / threshold / pass|fail`` line per check,
-ending in a single ``verdict:`` line, so they diff and grep cleanly in CI.
+Each scenario builds a signal chain, dumps per-stage CSVs (all but
+``compare``, whose stages fig4, fig5 and fig10 dump) and evaluates a fixed
+set of pass/fail checks at frozen tolerances.  Reports are plain text, one
+``name: measured / threshold / pass|fail`` line per check, ending in a
+single ``verdict:`` line, so they diff and grep cleanly in CI.
 
 Everything is deterministic: a configuration (including its seeds) maps to
 byte-identical artifacts and report on repeat runs.
@@ -499,7 +500,7 @@ def _build_compare(cfg: ScenarioConfig):
     # both chains draw unit-average-power symbols of the same length, so the
     # configured transmit energy budget is identical
     stream_a, stream_b, dual = _dual(cfg)
-    lpf, taps = _lowpass(cfg)
+    lpf = cfg.filter_spec()
 
     # conventional chain: one stream, real passband
     passband = real_modulate(stream_a, CarrierConfig(cfg.f_c_hz))
@@ -509,15 +510,13 @@ def _build_compare(cfg: ScenarioConfig):
     fit = np.sum(np.conj(ref) * rec) / _sum_sq(ref)
     amplitude_factor = float(np.abs(fit))
     energy_ratio = _sum_sq(rec) / _sum_sq(ref)
-    sp_pb = dft_two_sided(passband)
-    real_bands, corr_real, real_streams = _ledger(sp_pb)
+    real_bands, corr_real, real_streams = _ledger(dft_two_sided(passband))
 
     # proposed chain: two streams, one complex waveform
     rec_a, rec_b = dual_demodulate(dual, cfg.f_c_hz, lpf)
     evm_a = evm_db(rec_a, stream_a)
     evm_b = evm_db(rec_b, stream_b)
-    sp_dual = dft_two_sided(dual)
-    dual_bands, corr_dual, dual_streams = _ledger(sp_dual)
+    dual_bands, corr_dual, dual_streams = _ledger(dft_two_sided(dual))
 
     metrics = {
         **_energies(
@@ -542,15 +541,9 @@ def _build_compare(cfg: ScenarioConfig):
         _check_equals("dual_bands_occupied", dual_bands, 2),
         _check_equals("dual_independent_streams", dual_streams, 2),
     ]
-    artifacts = {
-        "spectrum_real_passband.csv": ("spectrum", sp_pb),
-        "spectrum_real_recovered.csv": _spectrum(recovered),
-        "spectrum_dual.csv": ("spectrum", sp_dual),
-        "spectrum_dual_recovered_a.csv": _spectrum(rec_a),
-        "spectrum_dual_recovered_b.csv": _spectrum(rec_b),
-        "filter_taps.csv": ("taps", taps),
-    }
-    return metrics, verdicts, artifacts
+    # a ledger, not a figure: fig4, fig5 and fig10 write every spectrum and
+    # the taps of these chains
+    return metrics, verdicts, {}
 
 
 def _build_polarization(cfg: ScenarioConfig):
@@ -634,7 +627,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     written: list[Path] = []
 
     def write(name: str, text: str) -> None:
-        with open(out / name, "w") as fh:
+        with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
             written.append(out / name)
             fh.write(text)
 
@@ -684,14 +677,19 @@ def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndar
     )
 
 
-def _text_divergence(stored: str, fresh: str) -> str | None:
-    """The first line of ``stored`` that differs from ``fresh``, with both
-    texts; None when every line matches."""
-    for i, (line, want) in enumerate(zip_longest(stored.splitlines(), fresh.splitlines()), start=1):
+def _text_divergence(stored: bytes, fresh: str) -> str | None:
+    """None when ``stored`` is the bytes of ``fresh``; else its first line
+    that differs, with both texts, or, when every line matches, that the
+    line endings or the final newline differ."""
+    if stored == fresh.encode():
+        return None
+    # undecodable bytes become U+FFFD, which no fresh line contains
+    lines = stored.decode(errors="replace").splitlines()
+    for i, (line, want) in enumerate(zip_longest(lines, fresh.splitlines()), start=1):
         if line != want:
             recomputed = "nothing" if want is None else repr(want)
             return f"line {i}: stored {'nothing' if line is None else repr(line)}, recomputed {recomputed}"
-    return None
+    return "matches line for line, but its line endings or final newline differ"
 
 
 def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str | None]:
@@ -709,27 +707,26 @@ def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str |
 
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     """Re-check an existing run against a fresh execution of its stored
-    configuration.  ``report.txt`` must match the fresh report line by line
-    and ``config.txt`` the canonical text of its configuration.  Every
+    configuration.  ``report.txt`` and ``config.txt`` must hold the bytes of
+    the fresh report and of the canonical text of its configuration.  Every
     artifact must exist, parse, and hold the recomputed table value for
     value, exactly, and every verdict must pass.  A file that is missing or
     cannot be read or parsed fails the run with one message naming it."""
     out = Path(out_dir)
-    texts = {}
+    stored = {}
     for name in ("report.txt", "config.txt"):
-        # undecodable bytes become U+FFFD, which no fresh line contains
-        texts[name], fault = _load(out, name, lambda path: path.read_text(errors="replace"))
+        stored[name], fault = _load(out, name, Path.read_bytes)
         if fault is not None:
             return False, [fault]
     try:
-        cfg = ScenarioConfig.from_mapping(parse_config_text(texts["config.txt"]))
+        cfg = ScenarioConfig.from_mapping(parse_config_text(stored["config.txt"].decode(errors="replace")))
         fresh, artifacts = execute_scenario(cfg)
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
 
     messages: list[str] = []
     for name, text in (("report.txt", fresh.to_text()), ("config.txt", cfg.to_text())):
-        divergence = _text_divergence(texts[name], text)
+        divergence = _text_divergence(stored[name], text)
         if divergence is not None:
             messages.append(f"{name} {divergence}")
     for name, (kind, data) in artifacts.items():

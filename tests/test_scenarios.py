@@ -158,6 +158,27 @@ class TestScenarioRuns:
         names = {v.name for v in report.verdicts}
         assert {"real_independent_streams", "dual_independent_streams"} <= names
 
+    @pytest.mark.parametrize(
+        "overrides", [pytest.param({}, id="default"), pytest.param(dict(constellation="qam16", seed=7), id="qam16")]
+    )
+    def test_compare_energies_equal_fig5_and_fig10(self, overrides):
+        # compare writes no spectrum because its chains are fig5's and
+        # fig10's; their energies say so, bit for bit
+        metrics = {
+            scenario: execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096, **overrides))[0].metrics
+            for scenario in ("fig5", "fig10", "compare")
+        }
+        pairs = {
+            "real_recovered": ("fig5", "recovered"),
+            "real_tx": ("fig5", "passband"),
+            "stream_a": ("fig5", "baseband"),
+            "dual_tx": ("fig10", "dual"),
+            "dual_recovered_a": ("fig10", "recovered_a"),
+            "dual_recovered_b": ("fig10", "recovered_b"),
+        }
+        for name, (scenario, theirs) in pairs.items():
+            assert metrics["compare"][f"energy.{name}"] == metrics[scenario][f"energy.{theirs}"], name
+
     def test_report_independent_of_blas_threads(self):
         # OpenBLAS splits long dot products and norms across threads, which
         # changes their rounding; 32768 samples give 16383-bin mirror spectra,
@@ -191,6 +212,37 @@ class TestScenarioRuns:
     def test_invalid_scenario_rejected(self):
         with pytest.raises(ValueError):
             execute_scenario(small_config("fig4", n_samples=1000))
+
+
+class TestCompareWritesNoArtifact:
+    # the six CSVs compare wrote before fig4, fig5 and fig10 became the only
+    # writers of its chains' spectra and taps
+    OLD_ARTIFACTS = (
+        "spectrum_real_passband.csv",
+        "spectrum_real_recovered.csv",
+        "spectrum_dual.csv",
+        "spectrum_dual_recovered_a.csv",
+        "spectrum_dual_recovered_b.csv",
+        "filter_taps.csv",
+    )
+
+    @pytest.fixture()
+    def compare_run(self, tmp_path):
+        run_scenario(ScenarioConfig(scenario="compare", n_samples=4096), tmp_path)
+        return tmp_path
+
+    def test_writes_config_and_report_only(self, compare_run, capsys):
+        assert sorted(p.name for p in compare_run.iterdir()) == ["config.txt", "report.txt"]
+        assert _verify_output(compare_run, capsys) == (0, ["verify: pass"])
+
+    def test_run_with_the_old_artifact_lines_fails_verify(self, compare_run, capsys):
+        path = compare_run / "report.txt"
+        old = "".join(f"artifact: {name}\n" for name in self.OLD_ARTIFACTS)
+        path.write_text(path.read_text().replace("artifact: config.txt\n", "artifact: config.txt\n" + old))
+        code, lines = _verify_output(compare_run, capsys)
+        assert code == 1
+        assert lines[0].startswith("report.txt line 4: stored 'artifact: spectrum_real_passband.csv', recomputed "), lines
+        assert lines[-1] == "verify: fail"
 
 
 class TestVerdictEnvelope:
@@ -480,10 +532,25 @@ class TestVerifyIsExact:
         # fig9's report: the three energies are lines 8-10
         assert printed == [f"report.txt line 9: stored {stored!r}, recomputed {line[0]!r}", "verify: fail"]
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            pytest.param("report.txt", lambda data: data.removesuffix(b"\n"), id="report-without-final-newline"),
+            pytest.param("config.txt", lambda data: data.replace(b"\n", b"\r\n"), id="config-with-crlf"),
+        ],
+    )
+    def test_line_endings_edited(self, tmp_path, capsys, name, edit):
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == [f"{name} matches line for line, but its line endings or final newline differ", "verify: fail"]
+
     def test_runs_verify_in_a_new_process_with_other_blas_threads(self, tmp_path):
         # each run is written with one BLAS thread and verified, cold, with two
         src = str(Path(carrierlab.__file__).parents[1])
-        for scenario in ("group_laws", "compare"):
+        for scenario in ("group_laws", "fig10", "compare"):
             out = str(tmp_path / scenario)
             for threads, args in (
                 ("1", ["run", "--scenario", scenario, "--n-samples", "4096", "--out", out]),
