@@ -41,7 +41,6 @@ from .scenarios import (
     verify_run,
 )
 from .signals import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     SymbolStream,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandEnergyReport",
-    "CarrierConfig",
     "ChannelConfig",
     "ComplexSignal",
     "Constellation",

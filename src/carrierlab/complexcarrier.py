@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
-from .signals import CarrierConfig, ComplexSignal, _require_aligned, _sum_sq, add, multiply, oscillator, steady_pair
+from .signals import ComplexSignal, _require_aligned, _sum_sq, add, multiply, oscillator, steady_pair
 from .spectrum import occupied_bandwidth, occupied_extent
 
 
-def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
-    """Shift the baseband to the carrier's signed frequency.
+def complex_modulate(bb: ComplexSignal, frequency_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
+    """Shift the baseband to the carrier's signed frequency ``frequency_hz``,
+    with the carrier starting at ``phase_rad``.
 
     Energy is conserved and the output occupies a single band (negative for
     a negative carrier, positive for a positive one).  This is the one
@@ -29,30 +30,28 @@ def complex_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal
     ``[-fs/2, fs/2)``; a zero shift and a signal without energy are never
     checked.
     """
-    f = carrier.frequency_hz
-    extent = occupied_extent(bb) if f != 0.0 else None
+    extent = occupied_extent(bb) if frequency_hz != 0.0 else None
     if extent is not None:
         lo, hi = extent
         nyq = bb.sample_rate_hz / 2
-        if lo + f < -nyq or hi + f >= nyq:
+        if lo + frequency_hz < -nyq or hi + frequency_hz >= nyq:
             raise ValueError(
-                f"band move by {f} Hz would push content occupying "
+                f"band move by {frequency_hz} Hz would push content occupying "
                 f"[{lo}, {hi}] Hz past the Nyquist limit"
             )
-    return multiply(bb, oscillator(carrier, bb.n, bb.sample_rate_hz))
+    return multiply(bb, oscillator(frequency_hz, bb.n, bb.sample_rate_hz, phase_rad=phase_rad))
 
 
-def complex_demodulate(cb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
+def complex_demodulate(cb: ComplexSignal, frequency_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
     """Undo ``complex_modulate`` with the conjugate carrier (frequency and
-    initial phase both negated).  No filter is involved and no energy is
-    lost: the round trip reproduces the baseband to rounding error."""
-    inverse = CarrierConfig(-carrier.frequency_hz, -carrier.initial_phase_rad)
-    return multiply(cb, oscillator(inverse, cb.n, cb.sample_rate_hz))
+    phase both negated).  No filter is involved and no energy is lost: the
+    round trip reproduces the baseband to rounding error."""
+    return multiply(cb, oscillator(-frequency_hz, cb.n, cb.sample_rate_hz, phase_rad=-phase_rad))
 
 
 def band_move(s: ComplexSignal, delta_hz: float) -> ComplexSignal:
     """Translate the whole spectrum by ``delta_hz`` (zero-phase carrier)."""
-    return complex_modulate(s, CarrierConfig(delta_hz))
+    return complex_modulate(s, delta_hz)
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ def dual_modulate(msg: DualMessage, f_c: float) -> ComplexSignal:
                 f"{name} bandwidth {b} Hz plus guard {msg.guard_hz} Hz does not "
                 f"fit a band at +/-{f_c} Hz"
             )
-    moved_a = complex_modulate(msg.stream_a, CarrierConfig(-f_c))
-    moved_b = complex_modulate(msg.stream_b, CarrierConfig(+f_c))
+    moved_a = complex_modulate(msg.stream_a, -f_c)
+    moved_b = complex_modulate(msg.stream_b, +f_c)
     return add(moved_a, moved_b)
 
 

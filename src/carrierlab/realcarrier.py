@@ -15,33 +15,31 @@ import numpy as np
 
 from .complexcarrier import complex_modulate
 from .filters import FilterSpec, apply_filter, design_lowpass
-from .signals import CarrierConfig, ComplexSignal, multiply, oscillator, real_part
+from .signals import ComplexSignal, multiply, oscillator, real_part
 from .spectrum import occupied_bandwidth
 
 
-def real_modulate(bb: ComplexSignal, carrier: CarrierConfig) -> ComplexSignal:
-    """Mix the baseband up to the carrier and keep only the real part.
+def real_modulate(bb: ComplexSignal, frequency_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
+    """Mix the baseband up to the carrier at the signed ``frequency_hz``,
+    starting at ``phase_rad``, and keep only the real part.
 
     The output's imaginary part is exactly zero and its spectrum occupies
     both bands around +/- carrier, each holding half the energy.  The shift
     itself is ``complex_modulate``'s, guard included.
     """
-    f_c = carrier.frequency_hz
     b = occupied_bandwidth(bb)
-    if b >= abs(f_c):
+    if b >= abs(frequency_hz):
         raise ValueError(
-            f"baseband bandwidth {b} Hz overlaps the carrier at {f_c} Hz; "
+            f"baseband bandwidth {b} Hz overlaps the carrier at {frequency_hz} Hz; "
             "real-carrier modulation needs bandwidth below |carrier|"
         )
-    return real_part(complex_modulate(bb, carrier))
+    return real_part(complex_modulate(bb, frequency_hz, phase_rad=phase_rad))
 
 
-def real_demodulate(
-    passband: ComplexSignal, carrier: CarrierConfig, lpf: FilterSpec
-) -> ComplexSignal:
-    """Mix a real passband signal by the given carrier and low-pass filter.
+def real_demodulate(passband: ComplexSignal, frequency_hz: float, lpf: FilterSpec) -> ComplexSignal:
+    """Mix a real passband signal by a zero-phase carrier and low-pass filter.
 
-    ``carrier.frequency_hz`` is the mixing oscillator's signed frequency:
+    ``frequency_hz`` is the mixing oscillator's signed frequency:
     mixing a signal that was modulated at +f with a -f carrier recovers
     baseband/2; mixing with +f recovers conj(baseband)/2.  Either way the
     image at twice the carrier is filtered off, discarding half the received
@@ -50,7 +48,7 @@ def real_demodulate(
     """
     if np.any(passband.samples.imag != 0.0):
         raise ValueError("real-carrier demodulation expects a real-valued passband signal")
-    f_c = abs(carrier.frequency_hz)
+    f_c = abs(frequency_hz)
     b = occupied_bandwidth(passband, f_center=f_c)
     if lpf.cutoff_hz >= 2 * f_c - b:
         raise ValueError(
@@ -58,5 +56,5 @@ def real_demodulate(
             f"{2 * f_c} Hz (passband width {b} Hz)"
         )
     taps = design_lowpass(lpf, passband.sample_rate_hz)
-    mixed = multiply(passband, oscillator(carrier, passband.n, passband.sample_rate_hz))
+    mixed = multiply(passband, oscillator(frequency_hz, passband.n, passband.sample_rate_hz))
     return apply_filter(mixed, taps)

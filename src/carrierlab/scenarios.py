@@ -45,7 +45,6 @@ from .realcarrier import real_demodulate, real_modulate
 from . import sigio
 from .sigio import fmt
 from .signals import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     SymbolStream,
@@ -266,12 +265,6 @@ def _dual(cfg: ScenarioConfig) -> tuple[ComplexSignal, ComplexSignal, ComplexSig
     return stream_a, stream_b, dual_modulate(DualMessage(stream_a, stream_b, cfg.guard_hz), cfg.f_c_hz)
 
 
-def _lowpass(cfg: ScenarioConfig) -> tuple[FilterSpec, np.ndarray]:
-    """The configured low-pass filter and its taps."""
-    lpf = cfg.filter_spec()
-    return lpf, design_lowpass(lpf, cfg.sample_rate_hz)
-
-
 def _max_diff(a: ComplexSignal, b: ComplexSignal) -> float:
     return float(np.max(np.abs(a.samples - b.samples)))
 
@@ -288,7 +281,7 @@ def _spectrum(x: ComplexSignal) -> tuple[str, Spectrum]:
 
 def _build_fig4(cfg: ScenarioConfig):
     bb = _make_baseband(cfg, cfg.seed)
-    pb = real_modulate(bb, CarrierConfig(cfg.f_c_hz))
+    pb = real_modulate(bb, cfg.f_c_hz)
     sp_pb = dft_two_sided(pb)
     report = band_report(sp_pb)
     mirror_err = conj_mirror_error(sp_pb)
@@ -311,11 +304,12 @@ def _build_fig4(cfg: ScenarioConfig):
 
 def _build_fig5(cfg: ScenarioConfig):
     bb = _make_baseband(cfg, cfg.seed)
-    pb = real_modulate(bb, CarrierConfig(cfg.f_c_hz))
-    lpf, taps = _lowpass(cfg)
-    mixed = multiply(pb, oscillator(CarrierConfig(-cfg.f_c_hz), pb.n, cfg.sample_rate_hz))
-    recovered = real_demodulate(pb, CarrierConfig(-cfg.f_c_hz), lpf)
-    conj_path = real_demodulate(pb, CarrierConfig(+cfg.f_c_hz), lpf)
+    pb = real_modulate(bb, cfg.f_c_hz)
+    lpf = cfg.filter_spec()
+    taps = design_lowpass(lpf, cfg.sample_rate_hz)
+    mixed = multiply(pb, oscillator(-cfg.f_c_hz, pb.n, cfg.sample_rate_hz))
+    recovered = real_demodulate(pb, -cfg.f_c_hz, lpf)
+    conj_path = real_demodulate(pb, +cfg.f_c_hz, lpf)
 
     rec, ref = steady_pair(recovered, bb)
     half_ref = ref / 2.0
@@ -345,7 +339,7 @@ def _build_fig5(cfg: ScenarioConfig):
 
 def _build_fig6(cfg: ScenarioConfig):
     bb = _make_baseband(cfg, cfg.seed)
-    moved = complex_modulate(bb, CarrierConfig(-cfg.f_c_hz))
+    moved = complex_modulate(bb, -cfg.f_c_hz)
     sp_moved = dft_two_sided(moved)
     report = band_report(sp_moved)
     metrics = {**_energies(baseband=bb, modulated=moved), "r_fraction": report.r_fraction}
@@ -384,12 +378,10 @@ def _build_fig7(cfg: ScenarioConfig):
 
 def _build_fig9(cfg: ScenarioConfig):
     bb = _make_baseband(cfg, cfg.seed)
-    carrier_l = CarrierConfig(-cfg.f_c_hz)
-    carrier_r = CarrierConfig(+cfg.f_c_hz)
-    moved_l = complex_modulate(bb, carrier_l)
-    back_l = complex_demodulate(moved_l, carrier_l)
-    moved_r = complex_modulate(bb, carrier_r)
-    back_r = complex_demodulate(moved_r, carrier_r)
+    moved_l = complex_modulate(bb, -cfg.f_c_hz)
+    back_l = complex_demodulate(moved_l, -cfg.f_c_hz)
+    moved_r = complex_modulate(bb, +cfg.f_c_hz)
+    back_r = complex_demodulate(moved_r, +cfg.f_c_hz)
     metrics = _energies(baseband=bb, modulated=moved_l, demodulated=back_l)
     e_bb = metrics["energy.baseband"]
     energy_rel_err = abs(metrics["energy.modulated"] - e_bb) / e_bb
@@ -409,7 +401,8 @@ def _build_fig9(cfg: ScenarioConfig):
 
 def _build_fig10(cfg: ScenarioConfig):
     stream_a, stream_b, dual = _dual(cfg)
-    lpf, taps = _lowpass(cfg)
+    lpf = cfg.filter_spec()
+    taps = design_lowpass(lpf, cfg.sample_rate_hz)
     rec_a, rec_b = dual_demodulate(dual, cfg.f_c_hz, lpf)
     evm_a = evm_db(rec_a, stream_a)
     evm_b = evm_db(rec_b, stream_b)
@@ -446,7 +439,7 @@ def _build_group_laws(cfg: ScenarioConfig):
     # the sign flip first: its 2*f0 shift is the one a valid config can still
     # fail (at a rate of 4*f0), and it draws nothing from the trials' RNG
     f0 = cfg.f_c_hz
-    tone = oscillator(CarrierConfig(-f0), cfg.n_samples, cfg.sample_rate_hz)
+    tone = oscillator(-f0, cfg.n_samples, cfg.sample_rate_hz)
     flipped = band_move(tone, 2 * f0)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -503,8 +496,8 @@ def _build_compare(cfg: ScenarioConfig):
     lpf = cfg.filter_spec()
 
     # conventional chain: one stream, real passband
-    passband = real_modulate(stream_a, CarrierConfig(cfg.f_c_hz))
-    recovered = real_demodulate(passband, CarrierConfig(-cfg.f_c_hz), lpf)
+    passband = real_modulate(stream_a, cfg.f_c_hz)
+    recovered = real_demodulate(passband, -cfg.f_c_hz, lpf)
     rec, ref = steady_pair(recovered, stream_a)
     # np.sum, not np.vdot, for the reason _sum_sq gives
     fit = np.sum(np.conj(ref) * rec) / _sum_sq(ref)
@@ -549,8 +542,8 @@ def _build_compare(cfg: ScenarioConfig):
 def _build_polarization(cfg: ScenarioConfig):
     channel = cfg.channel_config()
     n, fs = cfg.n_samples, cfg.sample_rate_hz
-    tone_r = oscillator(CarrierConfig(+cfg.f_c_hz), n, fs)
-    tone_l = oscillator(CarrierConfig(-cfg.f_c_hz), n, fs)
+    tone_r = oscillator(+cfg.f_c_hz, n, fs)
+    tone_l = oscillator(-cfg.f_c_hz, n, fs)
     pairs = {"r": to_polarized(tone_r), "l": to_polarized(tone_l), "linear": to_polarized(real_part(tone_r))}
     received = {name: transmit(pair, channel) for name, pair in pairs.items()}
 
@@ -647,11 +640,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     return report
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of ``values``: ``-0.0`` and ``0.0`` differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndarray]) -> str | None:
-    """Where ``stored`` departs from ``fresh``, value for value: its first
-    diverging row, naming the column and both values, then how many values
-    differ and the largest difference beside its column's peak magnitude;
-    None when every value is equal."""
+    """Where ``stored`` departs from ``fresh``, value for value, comparing
+    float64 bits: its first diverging row, naming the column and both
+    values, then how many values differ and the largest difference beside
+    its column's peak magnitude; None when every value is bitwise equal."""
     n_stored = len(next(iter(stored.values())))
     n_fresh = len(next(iter(fresh.values())))
     if n_stored != n_fresh:
@@ -659,7 +657,7 @@ def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndar
     # column -> the rows where it differs, in column order
     diverging: dict[str, np.ndarray] = {}
     for column, values in stored.items():
-        rows = np.flatnonzero(values != fresh[column])
+        rows = np.flatnonzero(_bits(values) != _bits(fresh[column]))
         if rows.size:
             diverging[column] = rows
     if not diverging:
@@ -710,8 +708,9 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     configuration.  ``report.txt`` and ``config.txt`` must hold the bytes of
     the fresh report and of the canonical text of its configuration.  Every
     artifact must exist, parse, and hold the recomputed table value for
-    value, exactly, and every verdict must pass.  A file that is missing or
-    cannot be read or parsed fails the run with one message naming it."""
+    value, bit for bit, and every verdict must pass.  A file that is missing
+    or cannot be read or parsed fails the run with one message naming it,
+    and so does every entry of ``out_dir`` that a fresh run does not write."""
     out = Path(out_dir)
     stored = {}
     for name in ("report.txt", "config.txt"):
@@ -737,5 +736,8 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
         if divergence is not None:
             messages.append(f"artifact {name} {divergence}")
+    written = {"report.txt", *fresh.artifacts}
+    undeclared = sorted(p.name for p in out.iterdir() if p.name not in written)
+    messages.extend(f"undeclared file: {name}" for name in undeclared)
     messages.extend(f"verdict {v.name} is failing" for v in fresh.verdicts if not v.passed)
     return not messages, messages

@@ -101,16 +101,6 @@ def _sealed(fresh: np.ndarray) -> np.ndarray:
     return fresh
 
 
-@dataclass(frozen=True)
-class CarrierConfig:
-    """A rotating complex carrier: the sign of ``frequency_hz`` selects the
-    rotation direction (negative = left/clockwise, positive =
-    right/counterclockwise)."""
-
-    frequency_hz: float
-    initial_phase_rad: float = 0.0
-
-
 class Constellation(Enum):
     QPSK = "qpsk"
     QAM16 = "qam16"
@@ -187,10 +177,12 @@ def _carrier_table(fs: int) -> np.ndarray:
     return _sealed(table)
 
 
-def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> ComplexSignal:
+def oscillator(frequency_hz: float, n: int, sample_rate_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
     """Unit-modulus complex exponential: sample k is
     ``exp(1j*(2*pi*f*k/fs + phase))``, computed as
-    ``exp(1j*(2*pi*(c - round(c)) + phase))`` with ``c = f*k/fs``.
+    ``exp(1j*(2*pi*(c - round(c)) + phase))`` with ``c = f*k/fs``.  The sign
+    of ``f`` selects the rotation (negative = left/clockwise, positive =
+    right/counterclockwise).
 
     When ``f`` is an integer, the phase is zero (of either sign) and ``fs``
     is a power of two no larger than ``CARRIER_TABLE_MAX_RATE_HZ``, sample k
@@ -202,25 +194,24 @@ def oscillator(carrier: CarrierConfig, n: int, sample_rate_hz: float) -> Complex
     """
     if n < 1:
         raise ValueError("oscillator sample count must be at least 1")
-    f = carrier.frequency_hz
-    if not abs(f) < sample_rate_hz / 2:
+    if not abs(frequency_hz) < sample_rate_hz / 2:
         raise ValueError(
-            f"carrier frequency {f} Hz violates the Nyquist "
+            f"carrier frequency {frequency_hz} Hz violates the Nyquist "
             f"limit for sample rate {sample_rate_hz} Hz"
         )
     fs = int(sample_rate_hz) if float(sample_rate_hz).is_integer() else 0
     if (
-        carrier.initial_phase_rad == 0
-        and float(f).is_integer()
+        phase_rad == 0
+        and float(frequency_hz).is_integer()
         and 0 < fs <= CARRIER_TABLE_MAX_RATE_HZ
         and fs & (fs - 1) == 0
     ):
-        index = int(f) * np.arange(n, dtype=np.int64)
+        index = int(frequency_hz) * np.arange(n, dtype=np.int64)
         index &= 2 * fs - 1
         samples = _carrier_table(fs)[index]
     else:
-        cycles = (f * np.arange(n, dtype=np.float64)) / sample_rate_hz
-        samples = _carrier(cycles, carrier.initial_phase_rad)
+        cycles = (frequency_hz * np.arange(n, dtype=np.float64)) / sample_rate_hz
+        samples = _carrier(cycles, phase_rad)
     return ComplexSignal(_sealed(samples), sample_rate_hz)
 
 

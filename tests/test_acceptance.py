@@ -10,7 +10,6 @@ with ``pytest tests/test_acceptance.py -v -s`` to see the criterion lines.
 import numpy as np
 
 from carrierlab import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     DualMessage,
@@ -71,8 +70,8 @@ def test_criterion_1_euler_superposition():
     """Cos and sin rebuilt from opposite-handed oscillators, < 1e-12."""
     worst_cos = worst_sin = 0.0
     for f in (1.0, 7.0, 1024.0, 8191.0):
-        pos = oscillator(CarrierConfig(+f), N, FS)
-        neg = oscillator(CarrierConfig(-f), N, FS)
+        pos = oscillator(+f, N, FS)
+        neg = oscillator(-f, N, FS)
         cos_rebuilt = 0.5 * add(neg, pos).samples
         cos_err = np.max(np.abs(cos_rebuilt - real_part(pos).samples))
         sin_rebuilt = 0.5j * (neg.samples - pos.samples)
@@ -87,7 +86,7 @@ def test_criterion_1_euler_superposition():
 
 def test_criterion_2_real_carrier_occupancy():
     """Shaped QPSK at 8192 Hz: 49-51% per band, mirror error < 1e-9."""
-    passband = real_modulate(_baseband(), CarrierConfig(F_C))
+    passband = real_modulate(_baseband(), F_C)
     sp = dft_two_sided(passband)
     report = band_report(sp)
     mirror = conj_mirror_error(sp)
@@ -103,9 +102,9 @@ def test_criterion_2_real_carrier_occupancy():
 def test_criterion_3_real_carrier_demod_loss():
     """Recovery at half amplitude and quarter energy; conjugate path match."""
     bb = _baseband()
-    passband = real_modulate(bb, CarrierConfig(F_C))
-    recovered = real_demodulate(passband, CarrierConfig(-F_C), LPF)
-    mirrored = real_demodulate(passband, CarrierConfig(+F_C), LPF)
+    passband = real_modulate(bb, F_C)
+    recovered = real_demodulate(passband, -F_C, LPF)
+    mirrored = real_demodulate(passband, +F_C, LPF)
 
     rec, ref = _steady_pair(recovered, bb)
     peak_rel = float(np.max(np.abs(rec - ref / 2)) / np.max(np.abs(ref / 2)))
@@ -128,9 +127,8 @@ def test_criterion_4_complex_round_trip():
     e_bb = energy(bb)
     worst_err = worst_energy = 0.0
     for f_c, phase in ((-F_C, 0.0), (+F_C, 0.0), (-F_C, 0.41), (+F_C, -1.2)):
-        carrier = CarrierConfig(f_c, phase)
-        moved = complex_modulate(bb, carrier)
-        back = complex_demodulate(moved, carrier)
+        moved = complex_modulate(bb, f_c, phase_rad=phase)
+        back = complex_demodulate(moved, f_c, phase_rad=phase)
         worst_err = max(worst_err, float(np.max(np.abs(back.samples - bb.samples))))
         worst_energy = max(worst_energy, abs(energy(moved) - e_bb) / e_bb)
     assert worst_err < 1e-12
@@ -175,7 +173,7 @@ def test_criterion_6_dual_information_carriage():
 
     corr_dual = conj_mirror_correlation(dft_two_sided(dual))
     corr_real = conj_mirror_correlation(
-        dft_two_sided(real_modulate(stream_a, CarrierConfig(F_C)))
+        dft_two_sided(real_modulate(stream_a, F_C))
     )
 
     assert evm_a < -40.0
@@ -192,12 +190,12 @@ def test_criterion_6_dual_information_carriage():
 
 def test_criterion_7_polarization_embedding():
     """Bitwise pair round trip, handedness mapping, exact energy match."""
-    tone = oscillator(CarrierConfig(+F_C), N, FS)
+    tone = oscillator(+F_C, N, FS)
     back = from_polarized(to_polarized(tone))
     assert back.samples.tobytes() == tone.samples.tobytes()
 
     assert detect_handedness(to_polarized(tone)) is Handedness.R
-    assert detect_handedness(to_polarized(oscillator(CarrierConfig(-F_C), N, FS))) is Handedness.L
+    assert detect_handedness(to_polarized(oscillator(-F_C, N, FS))) is Handedness.L
     assert detect_handedness(to_polarized(real_part(tone))) is Handedness.LINEAR
 
     assert pair_energy(to_polarized(tone)) == energy(tone)
@@ -209,7 +207,7 @@ def test_criterion_8_filter_contract():
     taps = design_lowpass(LPF, FS)
 
     def gain_db(f):
-        tone = oscillator(CarrierConfig(f), 16384, FS)
+        tone = oscillator(f, 16384, FS)
         out = apply_filter(tone, taps)
         steady_out = out.steady()
         steady_in = tone.samples[out.transient : out.n - out.transient]

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carrierlab import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     DualMessage,
@@ -52,39 +51,38 @@ def _shaped_baseband(seed=42, n_symbols=1024, sps=64, fs=FS):
 
 
 def _tone(f, n=N, fs=FS):
-    return oscillator(CarrierConfig(f), n, fs)
+    return oscillator(f, n, fs)
 
 
 class TestComplexModulate:
     def test_unit_baseband_becomes_carrier(self):
         ones = ComplexSignal(np.ones(4096), FS)
-        moved = complex_modulate(ones, CarrierConfig(-F_C))
+        moved = complex_modulate(ones, -F_C)
         np.testing.assert_allclose(moved.samples, _tone(-F_C, n=4096).samples, atol=1e-12)
         assert peak_frequency(dft_two_sided(moved)) == -F_C
 
     def test_single_band_occupancy(self):
-        moved = complex_modulate(_shaped_baseband(), CarrierConfig(+F_C))
+        moved = complex_modulate(_shaped_baseband(), +F_C)
         report = band_report(dft_two_sided(moved))
         assert report.l_fraction < 0.01
         assert report.r_fraction > 0.99
 
     def test_energy_conserved(self):
         bb = _shaped_baseband()
-        moved = complex_modulate(bb, CarrierConfig(-F_C, 0.41))
+        moved = complex_modulate(bb, -F_C, phase_rad=0.41)
         assert abs(energy(moved) - energy(bb)) <= 1e-12 * energy(bb)
 
     def test_real_projection_matches_real_modulation(self):
         bb = _shaped_baseband()
-        carrier = CarrierConfig(+F_C)
         np.testing.assert_array_equal(
-            real_part(complex_modulate(bb, carrier)).samples,
-            real_modulate(bb, carrier).samples,
+            real_part(complex_modulate(bb, +F_C)).samples,
+            real_modulate(bb, +F_C).samples,
         )
 
     def test_nyquist_violation_rejected(self):
         bb = _shaped_baseband(n_symbols=64, sps=64)
         with pytest.raises(ValueError):
-            complex_modulate(bb, CarrierConfig(32200.0))
+            complex_modulate(bb, 32200.0)
 
 
 class TestComplexDemodulate:
@@ -92,15 +90,15 @@ class TestComplexDemodulate:
     @pytest.mark.parametrize("phase", [0.0, 0.7])
     def test_round_trip_is_lossless(self, f_c, phase):
         bb = _shaped_baseband()
-        carrier = CarrierConfig(f_c, phase)
-        back = complex_demodulate(complex_modulate(bb, carrier), carrier)
+        moved = complex_modulate(bb, f_c, phase_rad=phase)
+        back = complex_demodulate(moved, f_c, phase_rad=phase)
         assert np.max(np.abs(back.samples - bb.samples)) < 1e-12
 
     def test_wrong_handedness_moves_content_away(self):
         bb = _shaped_baseband()
-        moved = complex_modulate(bb, CarrierConfig(+F_C))
+        moved = complex_modulate(bb, +F_C)
         # conjugate-carrier convention: passing -f_c mixes by +f_c again
-        wrong = complex_demodulate(moved, CarrierConfig(-F_C))
+        wrong = complex_demodulate(moved, -F_C)
         sp = dft_two_sided(wrong)
         b_half = 1.25 * 1024.0 / 2
         f = sp.freq_axis_hz
@@ -165,7 +163,7 @@ class TestOneShiftGuard:
     def test_complex_modulate_is_band_move(self, kind, f0, seed, shift):
         s = _drawn_signal(kind, f0, seed)
         outcomes = []
-        for move in (lambda: complex_modulate(s, CarrierConfig(shift)), lambda: band_move(s, shift)):
+        for move in (lambda: complex_modulate(s, shift), lambda: band_move(s, shift)):
             try:
                 outcomes.append(move().samples.tobytes())
             except ValueError as exc:
@@ -175,10 +173,10 @@ class TestOneShiftGuard:
     def test_tone_moved_up_to_near_nyquist_is_accepted(self):
         # content at -3000 Hz lands at 28000 Hz, inside fs/2 = 32768 Hz
         tone = _tone(-3000.0)
-        moved = complex_modulate(tone, CarrierConfig(31000.0))
+        moved = complex_modulate(tone, 31000.0)
         assert peak_frequency(dft_two_sided(moved)) == 28000.0
         np.testing.assert_array_equal(
-            real_modulate(tone, CarrierConfig(31000.0)).samples, real_part(moved).samples
+            real_modulate(tone, 31000.0).samples, real_part(moved).samples
         )
 
 
@@ -268,7 +266,7 @@ class TestDualModulate:
         silent = ComplexSignal(np.zeros(b.n), FS)
         dual = dual_modulate(DualMessage(silent, b, GUARD), F_C)
         np.testing.assert_array_equal(
-            dual.samples, complex_modulate(b, CarrierConfig(+F_C)).samples
+            dual.samples, complex_modulate(b, +F_C).samples
         )
 
     def test_two_tones_land_on_two_bins(self):
@@ -292,7 +290,7 @@ class TestDualModulate:
         assert 0.45 <= report.r_fraction <= 0.55
         assert conj_mirror_correlation(sp) < 0.1
         # contrast: a real passband is perfectly mirror-correlated
-        sp_real = dft_two_sided(real_modulate(a, CarrierConfig(F_C)))
+        sp_real = dft_two_sided(real_modulate(a, F_C))
         assert conj_mirror_correlation(sp_real) >= 1 - 1e-9
 
     def test_linear_in_each_stream(self):
@@ -336,7 +334,7 @@ class TestDualDemodulate:
         rec_a, _ = dual_demodulate(dual, F_C, LPF)
         taps = design_lowpass(LPF, FS)
         plain = apply_filter(
-            band_move(complex_modulate(a, CarrierConfig(-F_C)), +F_C), taps
+            band_move(complex_modulate(a, -F_C), +F_C), taps
         )
         np.testing.assert_array_equal(rec_a.samples, plain.samples)
 

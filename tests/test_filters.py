@@ -5,7 +5,6 @@ import pytest
 
 from carrierlab import (
     MAX_TAPS,
-    CarrierConfig,
     ComplexSignal,
     FilterSpec,
     apply_filter,
@@ -18,7 +17,7 @@ DEFAULT = FilterSpec(cutoff_hz=6144.0, transition_hz=2048.0, stopband_atten_db=6
 
 
 def _tone(f, n=16384):
-    return oscillator(CarrierConfig(f), n, FS)
+    return oscillator(f, n, FS)
 
 
 def _gain_db(taps, f):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from carrierlab import (
-    CarrierConfig,
     ChannelConfig,
     ComplexSignal,
     Handedness,
@@ -25,7 +24,7 @@ F0 = 512.0
 
 
 def _tone(f, phase=0.0):
-    return oscillator(CarrierConfig(f, phase), N, FS)
+    return oscillator(f, N, FS, phase_rad=phase)
 
 
 def _random_signal(seed=0):

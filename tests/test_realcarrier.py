@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from carrierlab import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     FilterSpec,
@@ -42,7 +41,7 @@ def _steady_pair(x, y):
 
 class TestRealModulate:
     def test_constant_baseband_gives_cosine(self):
-        passband = real_modulate(_constant(1.0, n=4096), CarrierConfig(F_C))
+        passband = real_modulate(_constant(1.0, n=4096), F_C)
         expected = np.cos(2 * np.pi * F_C * np.arange(4096) / FS)
         np.testing.assert_allclose(passband.samples.real, expected, atol=1e-12)
         assert np.all(passband.samples.imag == 0.0)
@@ -51,7 +50,7 @@ class TestRealModulate:
         assert report.r_fraction == pytest.approx(0.5, abs=1e-6)
 
     def test_imaginary_baseband_gives_negative_sine(self):
-        passband = real_modulate(_constant(1j, n=4096), CarrierConfig(F_C))
+        passband = real_modulate(_constant(1j, n=4096), F_C)
         expected = -np.sin(2 * np.pi * F_C * np.arange(4096) / FS)
         np.testing.assert_allclose(passband.samples.real, expected, atol=1e-12)
 
@@ -60,17 +59,15 @@ class TestRealModulate:
     def test_half_sum_identity(self, f_c, phase):
         # transmitted real part equals the half-sum of the two mirrored bands
         bb = _shaped_baseband()
-        carrier = CarrierConfig(f_c, phase)
-        passband = real_modulate(bb, carrier)
-        mirror = CarrierConfig(-f_c, -phase)
+        passband = real_modulate(bb, f_c, phase_rad=phase)
         rebuilt = 0.5 * add(
-            multiply(ComplexSignal(np.conj(bb.samples), FS), oscillator(mirror, bb.n, FS)),
-            multiply(bb, oscillator(carrier, bb.n, FS)),
+            multiply(ComplexSignal(np.conj(bb.samples), FS), oscillator(-f_c, bb.n, FS, phase_rad=-phase)),
+            multiply(bb, oscillator(f_c, bb.n, FS, phase_rad=phase)),
         ).samples
         np.testing.assert_allclose(passband.samples, rebuilt, atol=1e-12)
 
     def test_shaped_baseband_occupancy_and_symmetry(self):
-        passband = real_modulate(_shaped_baseband(), CarrierConfig(F_C))
+        passband = real_modulate(_shaped_baseband(), F_C)
         sp = dft_two_sided(passband)
         report = band_report(sp)
         assert 0.49 <= report.l_fraction <= 0.51
@@ -81,44 +78,44 @@ class TestRealModulate:
         # shaped bandwidth 1.25 * 1024 Hz exceeds a 1 kHz carrier
         bb = _shaped_baseband(n_symbols=64, sps=64)
         with pytest.raises(ValueError):
-            real_modulate(bb, CarrierConfig(1000.0))
+            real_modulate(bb, 1000.0)
 
     def test_nyquist_violation_rejected(self):
         bb = _shaped_baseband(n_symbols=64, sps=64)
         with pytest.raises(ValueError):
-            real_modulate(bb, CarrierConfig(32600.0))
+            real_modulate(bb, 32600.0)
 
 
 class TestRealDemodulate:
     def test_opposite_carrier_recovers_half_baseband(self):
         bb = _shaped_baseband()
-        passband = real_modulate(bb, CarrierConfig(F_C))
-        recovered = real_demodulate(passband, CarrierConfig(-F_C), LPF)
+        passband = real_modulate(bb, F_C)
+        recovered = real_demodulate(passband, -F_C, LPF)
         rec, ref = _steady_pair(recovered, bb)
         deviation = np.max(np.abs(rec - ref / 2)) / np.max(np.abs(ref / 2))
         assert deviation < 1e-3
 
     def test_same_carrier_recovers_half_conjugate(self):
         bb = _shaped_baseband()
-        passband = real_modulate(bb, CarrierConfig(F_C))
-        direct = real_demodulate(passband, CarrierConfig(-F_C), LPF)
-        mirrored = real_demodulate(passband, CarrierConfig(+F_C), LPF)
+        passband = real_modulate(bb, F_C)
+        direct = real_demodulate(passband, -F_C, LPF)
+        mirrored = real_demodulate(passband, +F_C, LPF)
         a, b = _steady_pair(mirrored, direct)
         err = np.max(np.abs(a - np.conj(b))) / np.max(np.abs(b))
         assert err < 1e-9
 
     def test_quarter_energy_recovery(self):
         bb = _shaped_baseband()
-        passband = real_modulate(bb, CarrierConfig(F_C))
-        recovered = real_demodulate(passband, CarrierConfig(-F_C), LPF)
+        passband = real_modulate(bb, F_C)
+        recovered = real_demodulate(passband, -F_C, LPF)
         rec, ref = _steady_pair(recovered, bb)
         ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
         assert 0.245 <= ratio <= 0.255
 
     def test_constant_baseband_recovers_half(self):
         bb = _constant(1.0, n=16384)
-        passband = real_modulate(bb, CarrierConfig(F_C))
-        recovered = real_demodulate(passband, CarrierConfig(-F_C), LPF)
+        passband = real_modulate(bb, F_C)
+        recovered = real_demodulate(passband, -F_C, LPF)
         np.testing.assert_allclose(recovered.steady(), 0.5, atol=1e-3)
         rec, ref = _steady_pair(recovered, bb)
         ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
@@ -127,12 +124,12 @@ class TestRealDemodulate:
     def test_complex_input_rejected(self):
         cplx = ComplexSignal(np.exp(1j * np.arange(N) * 0.5), FS)
         with pytest.raises(ValueError):
-            real_demodulate(cplx, CarrierConfig(-F_C), LPF)
+            real_demodulate(cplx, -F_C, LPF)
 
     def test_leaky_cutoff_rejected(self):
         bb = _shaped_baseband()
-        passband = real_modulate(bb, CarrierConfig(F_C))
+        passband = real_modulate(bb, F_C)
         # cutoff above 2*f_c - B cannot reject the image
         leaky = FilterSpec(cutoff_hz=15500.0, transition_hz=512.0)
         with pytest.raises(ValueError):
-            real_demodulate(passband, CarrierConfig(-F_C), leaky)
+            real_demodulate(passband, -F_C, leaky)

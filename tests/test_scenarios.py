@@ -455,6 +455,40 @@ class TestVerifyRun:
         assert not ok
         assert any("signal_demodulated.csv has 8191 rows" in m for m in messages), messages
 
+    def test_files_a_fresh_run_does_not_write_are_named(self, tmp_path, capsys):
+        # fig6 writes fig9's spectrum_baseband.csv and spectrum_modulated.csv
+        # over them, its own report and config, and leaves fig9's other two
+        for scenario in ("fig9", "fig6"):
+            run_scenario(ScenarioConfig(scenario=scenario, n_samples=4096), tmp_path)
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == [
+            "undeclared file: signal_demodulated.csv",
+            "undeclared file: spectrum_demodulated.csv",
+            "verify: fail",
+        ]
+
+    def test_stored_config_that_does_not_validate(self, tmp_path, capsys):
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
+        path = tmp_path / "config.txt"
+        text = path.read_text()
+        assert "n_samples = 4096\n" in text
+        path.write_text(text.replace("n_samples = 4096\n", "n_samples = 4000\n"))
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == ["stored configuration does not execute: n_samples must be a power of two", "verify: fail"]
+
+    def test_artifact_cut_to_its_header(self, tmp_path, capsys):
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
+        path = tmp_path / "signal_demodulated.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == [
+            "artifact signal_demodulated.csv failed schema check: malformed signal CSV: no data rows",
+            "verify: fail",
+        ]
+
     def test_undeclared_artifact_detected(self, fig9_run):
         report_path = fig9_run / "report.txt"
         text = report_path.read_text().replace("artifact: spectrum_baseband.csv\n", "")
@@ -546,6 +580,35 @@ class TestVerifyIsExact:
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
         assert printed == [f"{name} matches line for line, but its line endings or final newline differ", "verify: fail"]
+
+    @pytest.mark.parametrize(
+        "scenario, name, pattern, replacement, expected",
+        [
+            pytest.param(
+                "polarization", "spectrum_received_r.csv", r"^0\.0,", "-0.0,",
+                "row 2049 column freq_hz: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
+                "the largest by 0.0 in column freq_hz, whose peak magnitude is 32768.0",
+                id="polarization-dc-frequency",
+            ),
+            pytest.param(
+                "fig9", "signal_demodulated.csv", r"^0,", "-0,",
+                "row 1 column index: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
+                "the largest by 0.0 in column index, whose peak magnitude is 4095.0",
+                id="fig9-index",
+            ),
+        ],
+    )
+    def test_signed_zero_respelled(self, tmp_path, capsys, scenario, name, pattern, replacement, expected):
+        # -0.0 parses to another double than 0.0: equal under ==, not bit for bit
+        run_scenario(ScenarioConfig(scenario=scenario, n_samples=4096), tmp_path)
+        path = tmp_path / name
+        text = path.read_text()
+        edited = re.sub(pattern, replacement, text, flags=re.MULTILINE)
+        assert edited.count("\n-0") == 1
+        path.write_text(edited)
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == [f"artifact {name} {expected}", "verify: fail"]
 
     def test_runs_verify_in_a_new_process_with_other_blas_threads(self, tmp_path):
         # each run is written with one BLAS thread and verified, cold, with two

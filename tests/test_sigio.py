@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from carrierlab import CarrierConfig, ComplexSignal, PolarizedPair, dft_two_sided, oscillator
+from carrierlab import ComplexSignal, PolarizedPair, dft_two_sided, oscillator
 from carrierlab import sigio
 
 FS = 256.0
@@ -57,7 +57,7 @@ class TestSignalCsv:
 
 class TestSpectrumCsv:
     def test_round_trip_values(self, tmp_path):
-        sp = dft_two_sided(oscillator(CarrierConfig(16.0), 64, FS))
+        sp = dft_two_sided(oscillator(16.0, 64, FS))
         path = tmp_path / "spectrum_x.csv"
         path.write_text(sigio.spectrum_csv_text(sp))
         cols = sigio.read_spectrum_csv(path)

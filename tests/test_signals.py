@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from carrierlab import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     PolarizedPair,
@@ -28,7 +27,7 @@ FS = 4096.0
 
 
 def _osc(f, n=256, fs=FS, phase=0.0):
-    return oscillator(CarrierConfig(f, phase), n, fs)
+    return oscillator(f, n, fs, phase_rad=phase)
 
 
 def _signal(values, fs=FS):
@@ -138,16 +137,16 @@ class TestComplexSignal:
 
 class TestOscillator:
     def test_zero_frequency_is_all_ones(self):
-        s = oscillator(CarrierConfig(0.0), 4, 4.0)
+        s = oscillator(0.0, 4, 4.0)
         np.testing.assert_array_equal(s.samples, np.ones(4, dtype=complex))
 
     def test_quarter_rate_tone(self):
-        s = oscillator(CarrierConfig(1.0), 4, 4.0)
+        s = oscillator(1.0, 4, 4.0)
         np.testing.assert_allclose(s.samples, [1, 1j, -1, -1j], atol=1e-15)
 
     def test_negative_frequency_is_conjugate(self):
-        pos = oscillator(CarrierConfig(1.0), 4, 4.0)
-        neg = oscillator(CarrierConfig(-1.0), 4, 4.0)
+        pos = oscillator(1.0, 4, 4.0)
+        neg = oscillator(-1.0, 4, 4.0)
         np.testing.assert_array_equal(neg.samples, np.conj(pos.samples))
         np.testing.assert_allclose(neg.samples, [1, -1j, -1, 1j], atol=1e-15)
 
@@ -159,17 +158,17 @@ class TestOscillator:
 
     @given(f=on_grid_freqs, n=st.integers(min_value=1, max_value=512))
     def test_unit_modulus(self, f, n):
-        s = oscillator(CarrierConfig(f), n, FS)
+        s = oscillator(f, n, FS)
         np.testing.assert_allclose(np.abs(s.samples), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("f, fs", [(FS / 2, FS), (-FS, FS), (1.0, np.inf), (1.0, np.nan)])
     def test_nyquist_violation_or_nonfinite_rate_rejected(self, f, fs):
         with pytest.raises(ValueError):
-            oscillator(CarrierConfig(f), 8, fs)
+            oscillator(f, 8, fs)
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
-            oscillator(CarrierConfig(1.0), 0, FS)
+            oscillator(1.0, 0, FS)
 
 
 def _documented_carrier(f, n, fs, phase=0.0):
@@ -194,7 +193,7 @@ class TestOscillatorTable:
             for n in (1, 7, 4096, 65536):
                 expected = _documented_carrier(f, n, float(fs)).tobytes()
                 for phase in (0.0, -0.0):
-                    got = oscillator(CarrierConfig(f, phase), n, float(fs)).samples
+                    got = oscillator(f, n, float(fs), phase_rad=phase).samples
                     assert got.tobytes() == expected, (f, n, phase)
                 cycles = f * np.arange(n) / fs
                 ties = cycles[cycles - np.floor(cycles) == 0.5]
@@ -216,11 +215,11 @@ class TestOscillatorTable:
     )
     def test_off_grid_is_bitwise_the_formula(self, f, fs, phase):
         for n in (1, 7, 4096):
-            got = oscillator(CarrierConfig(f, phase), n, fs).samples
+            got = oscillator(f, n, fs, phase_rad=phase).samples
             assert got.tobytes() == _documented_carrier(f, n, fs, phase).tobytes()
 
     def test_table_is_read_only(self):
-        oscillator(CarrierConfig(3.0), 8, 64.0)
+        oscillator(3.0, 8, 64.0)
         table = signals._carrier_table(64)
         assert table.shape == (128,)
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from carrierlab import (
-    CarrierConfig,
     ComplexSignal,
     Constellation,
     SymbolStream,
@@ -35,7 +34,7 @@ N = 1024
 
 
 def _osc(f, n=N, fs=FS):
-    return oscillator(CarrierConfig(f), n, fs)
+    return oscillator(f, n, fs)
 
 
 def _signal(values, fs=FS):
@@ -237,8 +236,8 @@ class TestOccupied:
         s = ComplexSignal(np.full(16, 1e-200 + 0j), 16.0)
         assert occupied_extent(s) is None
         assert occupied_bandwidth(s) == 0.0
-        moved = complex_modulate(s, CarrierConfig(4.0))
-        assert moved.samples.tobytes() == multiply(s, oscillator(CarrierConfig(4.0), 16, 16.0)).samples.tobytes()
+        moved = complex_modulate(s, 4.0)
+        assert moved.samples.tobytes() == multiply(s, oscillator(4.0, 16, 16.0)).samples.tobytes()
 
 
 def _guard_oracle(s):
@@ -271,10 +270,10 @@ def _guard_corpus():
         bb = generate_baseband(msg, 64, "raised_cosine", rolloff=0.25, sample_rate_hz=fs)
         cases[f"baseband-{n}"] = bb
         shift = float(rng.integers(-8192, 8193))
-        cases[f"baseband-{n}-moved-{shift:+.0f}Hz"] = multiply(bb, oscillator(CarrierConfig(shift), n, fs))
+        cases[f"baseband-{n}-moved-{shift:+.0f}Hz"] = multiply(bb, oscillator(shift, n, fs))
     for n in (4096, 5, 7, 4097):
         cases[f"noise-{n}"] = _signal(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs=fs)
-    cases["tone"] = oscillator(CarrierConfig(-3000.0), 4096, fs)
+    cases["tone"] = oscillator(-3000.0, 4096, fs)
     cases["zeros"] = _signal(np.zeros(4096), fs=fs)
     return cases
 
