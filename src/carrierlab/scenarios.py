@@ -649,7 +649,8 @@ def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndar
     """Where ``stored`` departs from ``fresh``, value for value, comparing
     float64 bits: its first diverging row, naming the column and both
     values, then how many values differ and the largest difference beside
-    its column's peak magnitude; None when every value is bitwise equal."""
+    its column's peak magnitude, or that they differ only in the sign of
+    zero; None when every value is bitwise equal."""
     n_stored = len(next(iter(stored.values())))
     n_fresh = len(next(iter(fresh.values())))
     if n_stored != n_fresh:
@@ -667,11 +668,14 @@ def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndar
     largest = {c: float(np.max(np.abs(stored[c][r] - fresh[c][r]))) for c, r in diverging.items()}
     worst = max(largest, key=largest.__getitem__)
     count = sum(r.size for r in diverging.values())
-    return (
-        f"row {row + 1} column {column}: stored {fmt(stored[column][row])}, "
-        f"recomputed {fmt(fresh[column][row])}; {count} of {n_stored * len(stored)} values differ, "
+    # bits that differ where the numbers do not: -0.0 against 0.0
+    spread = "only in the sign of zero" if largest[worst] == 0.0 else (
         f"the largest by {fmt(largest[worst])} in column {worst}, "
         f"whose peak magnitude is {fmt(np.max(np.abs(fresh[worst])))}"
+    )
+    return (
+        f"row {row + 1} column {column}: stored {fmt(stored[column][row])}, "
+        f"recomputed {fmt(fresh[column][row])}; {count} of {n_stored * len(stored)} values differ, {spread}"
     )
 
 

@@ -9,13 +9,18 @@ extracts from its object.  Writing, reading and comparing all go through
 that table.  No table writes a column that its other columns and the run's
 configuration determine (magnitude, bin energy, time); README.md gives the
 formulas that rebuild them.
+
+Reading checks the bytes (the header, at least one row, every line ended
+by ``\n``, no ``\r``, no blank line), then parses them with one
+``np.loadtxt``; only a file that fails is scanned row by row, to name its
+first bad row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import io
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -28,9 +33,6 @@ from .spectrum import Spectrum
 #: rows formatted in one batch; a whole file at once holds a Python object
 #: per cell and raises peak memory
 BLOCK_ROWS = 256
-#: characters parsed in one batch (about 700 spectrum rows), for the same
-#: reason; cut by size, since finding every row's end costs a call per row
-BLOCK_CHARS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -108,61 +110,50 @@ def taps_csv_text(taps: np.ndarray) -> str:
     return _csv_text("taps", taps)
 
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """``text.splitlines()`` in blocks of at least ``BLOCK_CHARS``
-    characters, so the whole file's line list never exists beside the text.
-    Blocks end just after a ``\n``, which always ends a line, so they join
-    up to the same lines as one ``splitlines()`` of the whole text."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)
-        yield text[start:end].splitlines()
-        start = end
-
-
-def _parse_block(block: list[str], first: int, width: int, what: str) -> np.ndarray:
-    """Data rows ``first + 1, ...`` as a ``(len(block), width)`` array."""
-    out = np.empty((len(block), width), dtype=np.float64)
-    if list(map(str.count, block, repeat(","))).count(width - 1) == len(block):
+def _fault(data: bytes, schema: Schema) -> str | None:
+    """Why ``data`` is no table of ``schema``: its first bad data row,
+    1-based, or what the whole file lacks; None when every row holds
+    numbers.  Run only on a file already rejected."""
+    header, *lines = data.split(b"\n")
+    if header.removesuffix(b"\r") != schema.header.encode():
+        return f"expected header {schema.header!r}"
+    if header.endswith(b"\r"):
+        return "carriage return in the header"
+    # what follows the last "\n": empty unless the final newline is missing
+    *rows, tail = lines or [b""]
+    if not rows and not tail:
+        return "no data rows"
+    for i, row in enumerate(rows + [tail] if tail else rows, start=1):
+        if b"\r" in row:
+            return f"carriage return in row {i}"
+        cells = row.split(b",")
+        if len(cells) != len(schema.names):
+            return f"row {i} has {len(cells)} columns"
         try:
-            out.reshape(-1)[:] = list(map(float, ",".join(block).split(",")))
-            return out
+            list(map(float, cells))
         except ValueError:
-            pass
-    # row-by-row parse; names the first malformed row
-    for i, line in enumerate(block):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"malformed {what} CSV: row {first + i + 1} has {len(parts)} columns")
-        try:
-            out[i] = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"malformed {what} CSV: row {first + i + 1} is not numeric") from None
-    return out
-
-
-def _parse_table(text: str, header: str, what: str) -> np.ndarray:
-    blocks = _line_blocks(text)
-    head = next(blocks, [])
-    if not head or head[0] != header:
-        raise ValueError(f"malformed {what} CSV: expected header {header!r}")
-    width = header.count(",") + 1
-    parsed = []
-    rows = 0
-    for block in chain([head[1:]], blocks):
-        if block:
-            parsed.append(_parse_block(block, rows, width, what))
-            rows += len(block)
-    if rows == 0:
-        raise ValueError(f"malformed {what} CSV: no data rows")
-    return np.concatenate(parsed)
+            return f"row {i} is not numeric"
+    return "no final newline" if tail else None
 
 
 def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
     """Parse an artifact of ``kind`` into its columns, by header name."""
     schema = SCHEMAS[kind]
-    rows = _parse_table(Path(path).read_text(), schema.header, schema.what)
-    return dict(zip(schema.names, rows.T))
+    data = Path(path).read_bytes()
+    head = schema.header.encode() + b"\n"
+    numpy_error = None
+    # loadtxt skips blank lines, ends a row at "\r" and takes a last row
+    # without its "\n", so the bytes are checked for those first
+    framed = data.startswith(head) and len(data) > len(head) and data.endswith(b"\n")
+    if framed and b"\r" not in data and b"\n\n" not in data:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+        try:
+            rows = np.loadtxt(text, delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=np.float64)
+            if rows.shape[1] == len(schema.names):
+                return dict(zip(schema.names, rows.T))
+        except ValueError as exc:
+            numpy_error = exc
+    raise ValueError(f"malformed {schema.what} CSV: {_fault(data, schema) or numpy_error}")
 
 
 def read_signal_csv(path: Path) -> dict[str, np.ndarray]:

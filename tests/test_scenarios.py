@@ -507,6 +507,13 @@ def _verify_output(out, capsys):
     return code, capsys.readouterr().out.splitlines()
 
 
+def _blank_line_at_row(data: bytes, row: int) -> bytes:
+    """``data`` with an empty line inserted as data row ``row`` (1-based)."""
+    lines = data.split(b"\n")
+    lines.insert(row, b"")
+    return b"\n".join(lines)
+
+
 class TestVerifyIsExact:
     """Changes far below any 1e-9 band, each caught by verify."""
 
@@ -567,19 +574,43 @@ class TestVerifyIsExact:
         assert printed == [f"report.txt line 9: stored {stored!r}, recomputed {line[0]!r}", "verify: fail"]
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "name, edit, expected",
         [
-            pytest.param("report.txt", lambda data: data.removesuffix(b"\n"), id="report-without-final-newline"),
-            pytest.param("config.txt", lambda data: data.replace(b"\n", b"\r\n"), id="config-with-crlf"),
+            pytest.param(
+                "report.txt", lambda data: data.removesuffix(b"\n"),
+                "report.txt matches line for line, but its line endings or final newline differ",
+                id="report-without-final-newline",
+            ),
+            pytest.param(
+                "config.txt", lambda data: data.replace(b"\n", b"\r\n"),
+                "config.txt matches line for line, but its line endings or final newline differ",
+                id="config-with-crlf",
+            ),
+            pytest.param(
+                "spectrum_baseband.csv", lambda data: data.replace(b"\n", b"\r\n"),
+                "artifact spectrum_baseband.csv failed schema check: "
+                "malformed spectrum CSV: carriage return in the header",
+                id="csv-with-crlf",
+            ),
+            pytest.param(
+                "signal_demodulated.csv", lambda data: data.removesuffix(b"\n"),
+                "artifact signal_demodulated.csv failed schema check: malformed signal CSV: no final newline",
+                id="csv-without-final-newline",
+            ),
+            pytest.param(
+                "spectrum_modulated.csv", lambda data: _blank_line_at_row(data, 101),
+                "artifact spectrum_modulated.csv failed schema check: malformed spectrum CSV: row 101 has 1 columns",
+                id="csv-with-blank-line",
+            ),
         ],
     )
-    def test_line_endings_edited(self, tmp_path, capsys, name, edit):
+    def test_line_endings_edited(self, tmp_path, capsys, name, edit, expected):
         run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
         path = tmp_path / name
         path.write_bytes(edit(path.read_bytes()))
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
-        assert printed == [f"{name} matches line for line, but its line endings or final newline differ", "verify: fail"]
+        assert printed == [expected, "verify: fail"]
 
     @pytest.mark.parametrize(
         "scenario, name, pattern, replacement, expected",
@@ -587,13 +618,13 @@ class TestVerifyIsExact:
             pytest.param(
                 "polarization", "spectrum_received_r.csv", r"^0\.0,", "-0.0,",
                 "row 2049 column freq_hz: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
-                "the largest by 0.0 in column freq_hz, whose peak magnitude is 32768.0",
+                "only in the sign of zero",
                 id="polarization-dc-frequency",
             ),
             pytest.param(
                 "fig9", "signal_demodulated.csv", r"^0,", "-0,",
                 "row 1 column index: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
-                "the largest by 0.0 in column index, whose peak magnitude is 4095.0",
+                "only in the sign of zero",
                 id="fig9-index",
             ),
         ],

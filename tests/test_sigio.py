@@ -122,6 +122,7 @@ class TestParser:
     @given(st.lists(finite, min_size=1, max_size=50), st.lists(finite, min_size=1, max_size=50))
     @example([-0.0, 5e-324], [2.2250738585072e-308, -1.5e-320])
     @example([1.7e308, -1.7e308], [-0.0, 0.0])
+    @example([1e16, 1e22], [1e-05, -1e22])
     def test_round_trip_is_bit_exact(self, tmp_path_factory, ys, zs):
         n = min(len(ys), len(zs))
         pair = PolarizedPair(np.array(ys[:n]), np.array(zs[:n]), FS)
@@ -161,21 +162,39 @@ class TestParser:
         with pytest.raises(ValueError, match="malformed"):
             getattr(sigio, f"read_{kind}_csv")(path)
 
-    @given(st.text(alphabet="0,\n\r\x0b\x0c\x1c\x85\u2028", max_size=200), st.integers(1, 16))
-    def test_line_blocks_join_to_splitlines(self, text, block_chars):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sigio, "BLOCK_CHARS", block_chars)
-            blocks = list(sigio._line_blocks(text))
-        assert [line for block in blocks for line in block] == text.splitlines()
-
-    def test_rows_split_by_other_line_breaks_keep_their_numbers(self, tmp_path):
-        # a form feed ends a line for splitlines() as "\n" does, so these rows
-        # straddle the parser's blocks in a different place
-        lines = _signal_text(4096).splitlines()
-        lines[2500] = "2500,oops,0.0"
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace("\n", "\n\n", 1), "row 1 has 1 columns"),
+            (lambda text: text + "\n", "row 4097 has 1 columns"),
+            (lambda text: text.replace("\n1999,", "\n1999\r,", 1), "carriage return in row 2000"),
+            (lambda text: text.replace("\n", "\r\n"), "carriage return in the header"),
+            (lambda text: text.removesuffix("\n"), "no final newline"),
+            # a row without its "\n" is still scanned; the first bad row is named
+            (lambda text: text.removesuffix("\n") + ",0.5", "row 4096 has 4 columns"),
+        ],
+        ids=["blank-first-row", "blank-last-row", "lone-cr", "crlf", "no-final-newline", "bad-unterminated-row"],
+    )
+    def test_line_structure_checked_on_the_bytes(self, tmp_path, edit, message):
         path = tmp_path / "signal_x.csv"
-        path.write_text("\x0c".join(lines[:2000]) + "\n" + "\n".join(lines[2000:]) + "\n")
-        with pytest.raises(ValueError, match="^malformed signal CSV: row 2500 is not numeric$"):
+        path.write_bytes(edit(_signal_text(4096)).encode())
+        with pytest.raises(ValueError, match=f"^malformed signal CSV: {message}$"):
+            sigio.read_signal_csv(path)
+
+    def test_form_feed_inside_a_row_is_not_a_line_break(self, tmp_path):
+        # rows 2500 and 2501 joined by a form feed: one row of five cells
+        lines = _signal_text(4096).splitlines()
+        lines[2500:2502] = [lines[2500] + "\x0c" + lines[2501]]
+        path = tmp_path / "signal_x.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^malformed signal CSV: row 2500 has 5 columns$"):
+            sigio.read_signal_csv(path)
+
+    def test_value_only_numpy_rejects_gives_numpy_message(self, tmp_path):
+        # float() reads "3_000" as 3000.0; loadtxt does not
+        path = tmp_path / "signal_x.csv"
+        path.write_text(_signal_text(4096).replace("\n3000,", "\n3_000,", 1))
+        with pytest.raises(ValueError, match="^malformed signal CSV: .*'3_000'"):
             sigio.read_signal_csv(path)
 
     def test_long_table_round_trips(self, tmp_path):
