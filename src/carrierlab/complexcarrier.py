@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
-from .signals import ComplexSignal, _require_aligned, _sum_sq, add, multiply, oscillator, steady_pair
+from .signals import ComplexSignal, _mix, _require_aligned, _sum_sq, add, steady_pair
 from .spectrum import occupied_bandwidth, occupied_extent
 
 
@@ -39,14 +39,14 @@ def complex_modulate(bb: ComplexSignal, frequency_hz: float, *, phase_rad: float
                 f"band move by {frequency_hz} Hz would push content occupying "
                 f"[{lo}, {hi}] Hz past the Nyquist limit"
             )
-    return multiply(bb, oscillator(frequency_hz, bb.n, bb.sample_rate_hz, phase_rad=phase_rad))
+    return _mix(bb, frequency_hz, phase_rad)
 
 
 def complex_demodulate(cb: ComplexSignal, frequency_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
     """Undo ``complex_modulate`` with the conjugate carrier (frequency and
     phase both negated).  No filter is involved and no energy is lost: the
     round trip reproduces the baseband to rounding error."""
-    return multiply(cb, oscillator(-frequency_hz, cb.n, cb.sample_rate_hz, phase_rad=-phase_rad))
+    return _mix(cb, -frequency_hz, -phase_rad)
 
 
 def band_move(s: ComplexSignal, delta_hz: float) -> ComplexSignal:

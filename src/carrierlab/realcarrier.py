@@ -15,7 +15,7 @@ import numpy as np
 
 from .complexcarrier import complex_modulate
 from .filters import FilterSpec, apply_filter, design_lowpass
-from .signals import ComplexSignal, multiply, oscillator, real_part
+from .signals import ComplexSignal, _mix, real_part
 from .spectrum import occupied_bandwidth
 
 
@@ -56,5 +56,4 @@ def real_demodulate(passband: ComplexSignal, frequency_hz: float, lpf: FilterSpe
             f"{2 * f_c} Hz (passband width {b} Hz)"
         )
     taps = design_lowpass(lpf, passband.sample_rate_hz)
-    mixed = multiply(passband, oscillator(frequency_hz, passband.n, passband.sample_rate_hz))
-    return apply_filter(mixed, taps)
+    return apply_filter(_mix(passband, frequency_hz), taps)

@@ -48,10 +48,10 @@ from .signals import (
     ComplexSignal,
     Constellation,
     SymbolStream,
+    _mix,
     _sum_sq,
     energy,
     generate_baseband,
-    multiply,
     oscillator,
     real_part,
     steady_pair,
@@ -307,7 +307,7 @@ def _build_fig5(cfg: ScenarioConfig):
     pb = real_modulate(bb, cfg.f_c_hz)
     lpf = cfg.filter_spec()
     taps = design_lowpass(lpf, cfg.sample_rate_hz)
-    mixed = multiply(pb, oscillator(-cfg.f_c_hz, pb.n, cfg.sample_rate_hz))
+    mixed = _mix(pb, -cfg.f_c_hz)
     recovered = real_demodulate(pb, -cfg.f_c_hz, lpf)
     conj_path = real_demodulate(pb, +cfg.f_c_hz, lpf)
 
@@ -648,9 +648,10 @@ def _bits(values: np.ndarray) -> np.ndarray:
 def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndarray]) -> str | None:
     """Where ``stored`` departs from ``fresh``, value for value, comparing
     float64 bits: its first diverging row, naming the column and both
-    values, then how many values differ and the largest difference beside
-    its column's peak magnitude, or that they differ only in the sign of
-    zero; None when every value is bitwise equal."""
+    values, then how many values differ, how many of them are stored as nan
+    or inf, and the largest finite difference beside its column's peak
+    magnitude, or that they differ only in the sign of zero; None when every
+    value is bitwise equal."""
     n_stored = len(next(iter(stored.values())))
     n_fresh = len(next(iter(fresh.values())))
     if n_stored != n_fresh:
@@ -665,17 +666,24 @@ def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndar
         return None
     column, rows = min(diverging.items(), key=lambda item: item[1][0])
     row = rows[0]
-    largest = {c: float(np.max(np.abs(stored[c][r] - fresh[c][r]))) for c, r in diverging.items()}
-    worst = max(largest, key=largest.__getitem__)
     count = sum(r.size for r in diverging.values())
-    # bits that differ where the numbers do not: -0.0 against 0.0
-    spread = "only in the sign of zero" if largest[worst] == 0.0 else (
-        f"the largest by {fmt(largest[worst])} in column {worst}, "
-        f"whose peak magnitude is {fmt(np.max(np.abs(fresh[worst])))}"
-    )
+    # fresh values are finite, so a stored nan or inf differs by no amount to rank
+    finite = {c: r[np.isfinite(stored[c][r])] for c, r in diverging.items()}
+    largest = {c: float(np.max(np.abs(stored[c][r] - fresh[c][r]))) for c, r in finite.items() if r.size}
+    not_finite = count - sum(r.size for r in finite.values())
+    spread = f", {not_finite} of them not finite" if not_finite else ""
+    worst = max(largest, key=largest.__getitem__, default=None)
+    if worst is not None and largest[worst] == 0.0:
+        # bits that differ where the numbers do not: -0.0 against 0.0
+        spread += f"{', the others' if not_finite else ','} only in the sign of zero"
+    elif worst is not None:
+        spread += (
+            f", the largest by {fmt(largest[worst])} in column {worst}, "
+            f"whose peak magnitude is {fmt(np.max(np.abs(fresh[worst])))}"
+        )
     return (
         f"row {row + 1} column {column}: stored {fmt(stored[column][row])}, "
-        f"recomputed {fmt(fresh[column][row])}; {count} of {n_stored * len(stored)} values differ, {spread}"
+        f"recomputed {fmt(fresh[column][row])}; {count} of {n_stored * len(stored)} values differ{spread}"
     )
 
 

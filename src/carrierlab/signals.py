@@ -27,6 +27,8 @@ Two conventions matter throughout:
   count and up after an odd one), so entry ``(f*k) mod 2*fs`` is the
   ``np.exp`` of the very double the formula would pass it: the bits are
   the same as the formula's.
+* Every frequency shift in the library multiplies by the carrier's samples
+  in one step (``_mix``), bit-identical to ``multiply(s, oscillator(...))``.
 
 Symbol generation uses numpy's PCG64 generator, seeded explicitly: the same
 seed yields the same symbols on every platform and run.
@@ -69,7 +71,7 @@ class ComplexSignal:
             raise ValueError("a signal must contain at least one sample")
         if not 0 < self.sample_rate_hz < np.inf:
             raise ValueError("sample_rate_hz must be positive and finite")
-        if not np.isfinite(samples).all():
+        if not np.isfinite(samples.view(np.float64)).all():
             raise ValueError("signal samples must be finite (no NaN/Inf)")
         if self.transient < 0:
             raise ValueError("transient sample count cannot be negative")
@@ -192,6 +194,11 @@ def oscillator(frequency_hz: float, n: int, sample_rate_hz: float, *, phase_rad:
     whole-cycle count; so each sample is the same double through the same
     ``np.exp``, bit for bit.  Any other input evaluates the formula.
     """
+    return ComplexSignal(_sealed(_carrier_samples(frequency_hz, n, sample_rate_hz, phase_rad)), sample_rate_hz)
+
+
+def _carrier_samples(frequency_hz: float, n: int, sample_rate_hz: float, phase_rad: float) -> np.ndarray:
+    """The samples of ``oscillator`` with these arguments, in a fresh array."""
     if n < 1:
         raise ValueError("oscillator sample count must be at least 1")
     if not abs(frequency_hz) < sample_rate_hz / 2:
@@ -206,13 +213,18 @@ def oscillator(frequency_hz: float, n: int, sample_rate_hz: float, *, phase_rad:
         and 0 < fs <= CARRIER_TABLE_MAX_RATE_HZ
         and fs & (fs - 1) == 0
     ):
-        index = int(frequency_hz) * np.arange(n, dtype=np.int64)
-        index &= 2 * fs - 1
-        samples = _carrier_table(fs)[index]
-    else:
-        cycles = (frequency_hz * np.arange(n, dtype=np.float64)) / sample_rate_hz
-        samples = _carrier(cycles, phase_rad)
-    return ComplexSignal(_sealed(samples), sample_rate_hz)
+        f = int(frequency_hz)
+        index = np.arange(0, f * n, f, dtype=np.int64) if f else np.zeros(n, dtype=np.int64)
+        return _carrier_table(fs).take(np.bitwise_and(index, 2 * fs - 1, out=index))
+    cycles = (frequency_hz * np.arange(n, dtype=np.float64)) / sample_rate_hz
+    return _carrier(cycles, phase_rad)
+
+
+def _mix(s: ComplexSignal, frequency_hz: float, phase_rad: float = 0.0) -> ComplexSignal:
+    """``multiply(s, oscillator(frequency_hz, s.n, s.sample_rate_hz, phase_rad=phase_rad))``
+    bit for bit, the same product of the same samples, without the carrier's ``ComplexSignal``."""
+    carrier = _carrier_samples(frequency_hz, s.n, s.sample_rate_hz, phase_rad)
+    return ComplexSignal(_sealed(s.samples * carrier), s.sample_rate_hz, transient=s.transient)
 
 
 def real_part(s: ComplexSignal) -> ComplexSignal:

@@ -162,10 +162,11 @@ def occupied_extent(s: ComplexSignal) -> tuple[float, float] | None:
 
     This is the bandwidth guard every chain checks its preconditions with.
     """
-    if s not in _EXTENTS:
+    extent = _EXTENTS.get(s, ())  # () marks a miss: an extent is a pair or None
+    if extent == ():
         # silence skips the DFT, which needs two samples, for the same None
-        _EXTENTS[s] = _occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
-    return _EXTENTS[s]
+        extent = _EXTENTS[s] = _occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
+    return extent
 
 
 def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:

@@ -16,11 +16,13 @@ from carrierlab import (
     ScenarioConfig,
     SymbolStream,
     add,
+    apply_filter,
     band_move,
     band_report,
     complex_demodulate,
     complex_modulate,
     conj_mirror_correlation,
+    design_lowpass,
     dft_two_sided,
     dual_demodulate,
     dual_modulate,
@@ -32,6 +34,7 @@ from carrierlab import (
     occupied_bandwidth,
     oscillator,
     peak_frequency,
+    real_demodulate,
     real_modulate,
     real_part,
     spectrum,
@@ -140,6 +143,62 @@ class TestBandMove:
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError):
             band_move(_tone(15000.0), +20000.0)
+
+
+#: (rate, symbols, samples per symbol, carriers, phases) per carrier path:
+#: the table (integer carrier, zero phase of either sign, power-of-two rate
+#: up to 65536 Hz) and the formula (anything else)
+MIX_GRID = {
+    "table-4096": (4096.0, 256, 16, [-1000.0, 0.0, 1000.0], [0.0, -0.0]),
+    "table-65536": (65536.0, 64, 64, [-8192.0, 0.0, 8192.0], [0.0, -0.0]),
+    "formula-48000": (48000.0, 32, 256, [1000.5], [0.3]),
+}
+MIX_CASES = [
+    pytest.param(fs, n_symbols, sps, f, phase, transient, id=f"{path}-f{f}-phase{phase}-transient{transient}")
+    for path, (fs, n_symbols, sps, freqs, phases) in MIX_GRID.items()
+    for f in freqs
+    for phase in phases
+    for transient in (0, 37)
+]
+
+
+def _bytes(s):
+    return s.samples.tobytes(), s.sample_rate_hz, s.transient
+
+
+class TestShiftIsMultiplyByOscillator:
+    """Every frequency shift is, byte for byte, its documented definition:
+    the signal times ``oscillator`` at the signed frequency and phase."""
+
+    @pytest.mark.parametrize("fs, n_symbols, sps, f, phase, transient", MIX_CASES)
+    def test_complex_shifts(self, fs, n_symbols, sps, f, phase, transient):
+        bb = _shaped_baseband(n_symbols=n_symbols, sps=sps, fs=fs)
+        s = ComplexSignal(bb.samples, fs, transient=transient)
+        n = s.n
+        up = multiply(s, oscillator(f, n, fs, phase_rad=phase))
+        down = multiply(s, oscillator(-f, n, fs, phase_rad=-phase))
+        assert _bytes(complex_modulate(s, f, phase_rad=phase)) == _bytes(up)
+        assert _bytes(complex_demodulate(s, f, phase_rad=phase)) == _bytes(down)
+        if phase == 0.0:
+            assert _bytes(band_move(s, f)) == _bytes(multiply(s, oscillator(f, n, fs)))
+
+    @pytest.mark.parametrize(
+        "fs, n_symbols, sps, f, transient",
+        [
+            pytest.param(fs, n_symbols, sps, f, transient, id=f"{path}-f{f}-transient{transient}")
+            for path, (fs, n_symbols, sps, freqs, _) in MIX_GRID.items()
+            for f in freqs
+            if f != 0.0
+            for transient in (0, 37)
+        ],
+    )
+    def test_real_demodulate_mix(self, fs, n_symbols, sps, f, transient):
+        bb = _shaped_baseband(n_symbols=n_symbols, sps=sps, fs=fs)
+        pb = real_modulate(bb, abs(f))
+        pb = ComplexSignal(pb.samples, fs, transient=transient)
+        lpf = FilterSpec(cutoff_hz=0.5 * abs(f), transition_hz=0.4 * abs(f), stopband_atten_db=60.0)
+        expected = apply_filter(multiply(pb, oscillator(f, pb.n, fs)), design_lowpass(lpf, fs))
+        assert _bytes(real_demodulate(pb, f, lpf)) == _bytes(expected)
 
 
 def _drawn_signal(kind, f0, seed):

@@ -641,6 +641,54 @@ class TestVerifyIsExact:
         assert code == 1
         assert printed == [f"artifact {name} {expected}", "verify: fail"]
 
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            pytest.param(
+                {5: "nan", 9: "5.0"},
+                lambda fresh: (
+                    f"row 5 column re: stored nan, recomputed {sigio.fmt(fresh['re'][4])}; "
+                    f"2 of 12288 values differ, 1 of them not finite, "
+                    f"the largest by {sigio.fmt(abs(5.0 - fresh['re'][8]))} in column re, "
+                    f"whose peak magnitude is {sigio.fmt(np.max(np.abs(fresh['re'])))}"
+                ),
+                id="nan-beside-a-real-difference",
+            ),
+            pytest.param(
+                {5: "inf", 9: "-inf"},
+                lambda fresh: (
+                    f"row 5 column re: stored inf, recomputed {sigio.fmt(fresh['re'][4])}; "
+                    "2 of 12288 values differ, 2 of them not finite"
+                ),
+                id="only-infinities",
+            ),
+            pytest.param(
+                {1: "-0", 5: "nan"},
+                lambda fresh: (
+                    "row 1 column index: stored -0.0, recomputed 0.0; "
+                    "2 of 12288 values differ, 1 of them not finite, the others only in the sign of zero"
+                ),
+                id="nan-beside-a-signed-zero",
+            ),
+        ],
+    )
+    def test_stored_values_that_are_not_finite(self, tmp_path, capsys, rows, expected):
+        # a stored nan differs from every number by nan; the largest
+        # difference is taken over the finite values, the others counted
+        name = "signal_demodulated.csv"
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
+        path = tmp_path / name
+        fresh = sigio.read_signal_csv(path)
+        lines = path.read_text().splitlines()
+        for row, value in rows.items():
+            cells = lines[row].split(",")  # line 0 is the header
+            cells[0 if value == "-0" else 1] = value
+            lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code, printed = _verify_output(tmp_path, capsys)
+        assert code == 1
+        assert printed == [f"artifact {name} {expected(fresh)}", "verify: fail"]
+
     def test_runs_verify_in_a_new_process_with_other_blas_threads(self, tmp_path):
         # each run is written with one BLAS thread and verified, cold, with two
         src = str(Path(carrierlab.__file__).parents[1])

@@ -67,6 +67,30 @@ class TestComplexSignal:
         with pytest.raises(ValueError):
             ComplexSignal(np.array([-np.inf + 0j, 1j * np.nan]), FS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("sealed", [False, True], ids=["copied", "adopted"])
+    def test_rejects_nonfinite_in_either_part(self, bad, part, position, sealed):
+        # 4097 samples: an odd count reaches the tail of a vectorized loop
+        samples = np.ones(4097, dtype=np.complex128)
+        setattr(samples[position:][:1], part, bad)
+        assert not np.isfinite(getattr(samples[position], part))
+        assert np.isfinite(samples.real).sum() + np.isfinite(samples.imag).sum() == 2 * 4097 - 1
+        samples.setflags(write=not sealed)
+        with pytest.raises(ValueError, match="finite"):
+            ComplexSignal(samples, FS)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_non_contiguous_input_is_accepted(self, writeable):
+        base = np.arange(2 * 4097, dtype=np.float64) * (1 - 1j)
+        strided = base[::-2]
+        strided.setflags(write=writeable)
+        assert not strided.flags.c_contiguous
+        held = ComplexSignal(strided, FS).samples
+        assert held.flags.c_contiguous
+        np.testing.assert_array_equal(held, strided)
+
     @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_nonpositive_or_nonfinite_rate(self, rate):
         with pytest.raises(ValueError):
