@@ -6,7 +6,8 @@ signed carrier frequency and conserves energy exactly, so modulation and
 demodulation are the same operation in opposite directions ("band moves"),
 and the negative and positive bands can carry two independent streams at
 once.  Band moves compose additively and commute, with zero shift as the
-identity and the negated shift as the inverse.
+identity and the negated shift as the inverse.  Every demodulation in the
+library is ``complex_demodulate``, the unguarded inverse of modulation.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .signals import ComplexSignal, _mix, _require_aligned, _sum_sq, add, steady
 from .spectrum import occupied_bandwidth, occupied_extent
 
 
-def complex_modulate(bb: ComplexSignal, frequency_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
-    """Shift the baseband to the carrier's signed frequency ``frequency_hz``,
-    with the carrier starting at ``phase_rad``.
+def complex_modulate(bb: ComplexSignal, frequency_hz: float) -> ComplexSignal:
+    """Shift the baseband to the carrier's signed frequency ``frequency_hz``.
 
     Energy is conserved and the output occupies a single band (negative for
     a negative carrier, positive for a positive one).  This is the one
@@ -39,18 +39,18 @@ def complex_modulate(bb: ComplexSignal, frequency_hz: float, *, phase_rad: float
                 f"band move by {frequency_hz} Hz would push content occupying "
                 f"[{lo}, {hi}] Hz past the Nyquist limit"
             )
-    return _mix(bb, frequency_hz, phase_rad)
+    return _mix(bb, frequency_hz)
 
 
-def complex_demodulate(cb: ComplexSignal, frequency_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
-    """Undo ``complex_modulate`` with the conjugate carrier (frequency and
-    phase both negated).  No filter is involved and no energy is lost: the
-    round trip reproduces the baseband to rounding error."""
-    return _mix(cb, -frequency_hz, -phase_rad)
+def complex_demodulate(cb: ComplexSignal, frequency_hz: float) -> ComplexSignal:
+    """Undo ``complex_modulate`` with the conjugate carrier, the negated
+    frequency, and no band guard.  No filter is involved and no energy is
+    lost: the round trip reproduces the baseband to rounding error."""
+    return _mix(cb, -frequency_hz)
 
 
 def band_move(s: ComplexSignal, delta_hz: float) -> ComplexSignal:
-    """Translate the whole spectrum by ``delta_hz`` (zero-phase carrier)."""
+    """Translate the whole spectrum by ``delta_hz``."""
     return complex_modulate(s, delta_hz)
 
 
@@ -91,9 +91,9 @@ def dual_demodulate(
 ) -> tuple[ComplexSignal, ComplexSignal]:
     """Recover both streams of a dual-band signal.
 
-    Each branch moves one band to DC and low-pass filters the other away;
-    the branches are independent, so their results do not depend on
-    evaluation order.
+    Each branch demodulates one band to DC with ``complex_demodulate`` and
+    low-pass filters the other away; the branches are independent, so their
+    results do not depend on evaluation order.
     """
     if not f_c > 0:
         raise ValueError("dual demodulation carrier frequency must be positive")
@@ -104,8 +104,8 @@ def dual_demodulate(
             f"cannot isolate one band at +/-{f_c} Hz (stream width {b} Hz)"
         )
     taps = design_lowpass(lpf, cb.sample_rate_hz)
-    recovered_a = apply_filter(band_move(cb, +f_c), taps)
-    recovered_b = apply_filter(band_move(cb, -f_c), taps)
+    recovered_a = apply_filter(complex_demodulate(cb, -f_c), taps)
+    recovered_b = apply_filter(complex_demodulate(cb, +f_c), taps)
     return recovered_a, recovered_b
 
 

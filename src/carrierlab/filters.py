@@ -83,7 +83,10 @@ def kaiser_order(spec: FilterSpec, sample_rate_hz: float) -> tuple[int, float]:
     elif atten > 21:
         beta = 0.5842 * (atten - 21) ** 0.4 + 0.07886 * (atten - 21)
     width = spec.transition_hz / (sample_rate_hz / 2)
-    numtaps = math.ceil((atten - 7.95) / 2.285 / (math.pi * width) + 1) | 1  # odd: integer group delay
+    try:
+        numtaps = math.ceil((atten - 7.95) / 2.285 / (math.pi * width) + 1) | 1  # odd: integer group delay
+    except ArithmeticError:  # the length estimate itself overflows
+        raise ValueError(f"filter design needs over {MAX_TAPS} taps") from None
     if numtaps > MAX_TAPS:
         raise ValueError(
             f"transition band too narrow: design needs {numtaps} taps, cap is {MAX_TAPS}"

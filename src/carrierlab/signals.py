@@ -19,16 +19,17 @@ Two conventions matter throughout:
   keeps multi-step frequency-shift identities below 1e-12 per sample even
   after one second of accumulated phase, and makes negating the frequency
   an exact conjugation.
-* On that grid -- integer frequency, zero initial phase, and a power-of-two
-  rate of at most ``CARRIER_TABLE_MAX_RATE_HZ`` -- ``oscillator`` gathers its
-  samples from a memoised table instead of calling ``np.exp`` per sample.
+* On that grid -- integer frequency and a power-of-two rate of at most
+  ``CARRIER_TABLE_MAX_RATE_HZ`` -- ``oscillator`` gathers its samples from a
+  memoised table instead of calling ``np.exp`` per sample.
   ``f*k/fs`` is then exact, and its reduced count repeats every two cycles
   (round-half-to-even sends the half-cycle tie down after an even whole
   count and up after an odd one), so entry ``(f*k) mod 2*fs`` is the
   ``np.exp`` of the very double the formula would pass it: the bits are
   the same as the formula's.
-* Every frequency shift in the library multiplies by the carrier's samples
-  in one step (``_mix``), bit-identical to ``multiply(s, oscillator(...))``.
+* A carrier is its signed frequency alone.  Every frequency shift in the
+  library multiplies by the carrier's samples in one step (``_mix``),
+  bit-identical to ``multiply(s, oscillator(...))``.
 
 Symbol generation uses numpy's PCG64 generator, seeded explicitly: the same
 seed yields the same symbols on every platform and run.
@@ -162,42 +163,41 @@ CARRIER_TABLE_MAX_RATE_HZ = 2**16
 _TABLE_BLOCK = 4096
 
 
-def _carrier(cycles: np.ndarray, phase_rad: float) -> np.ndarray:
-    """``exp(1j*(2*pi*(c - round(c)) + phase))`` for each cycle count ``c``."""
-    return np.exp(1j * (TWO_PI * (cycles - np.round(cycles)) + phase_rad))
+def _carrier(cycles: np.ndarray) -> np.ndarray:
+    """``exp(1j*2*pi*(c - round(c)))`` for each cycle count ``c``."""
+    return np.exp(1j * (TWO_PI * (cycles - np.round(cycles))))
 
 
 @cache
 def _carrier_table(fs: int) -> np.ndarray:
-    """Read-only ``_carrier(j/fs, 0.0)`` for ``j`` in ``[0, 2*fs)``, ``fs``
-    a power of two."""
+    """Read-only ``_carrier(j/fs)`` for ``j`` in ``[0, 2*fs)``, ``fs`` a
+    power of two."""
     table = np.empty(2 * fs, dtype=np.complex128)
     # evaluated in blocks, so that the temporaries stay small beside the table
     for lo in range(0, 2 * fs, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, 2 * fs)
-        table[lo:hi] = _carrier(np.arange(lo, hi) / fs, 0.0)
+        table[lo:hi] = _carrier(np.arange(lo, hi) / fs)
     return _sealed(table)
 
 
-def oscillator(frequency_hz: float, n: int, sample_rate_hz: float, *, phase_rad: float = 0.0) -> ComplexSignal:
+def oscillator(frequency_hz: float, n: int, sample_rate_hz: float) -> ComplexSignal:
     """Unit-modulus complex exponential: sample k is
-    ``exp(1j*(2*pi*f*k/fs + phase))``, computed as
-    ``exp(1j*(2*pi*(c - round(c)) + phase))`` with ``c = f*k/fs``.  The sign
-    of ``f`` selects the rotation (negative = left/clockwise, positive =
-    right/counterclockwise).
+    ``exp(1j*2*pi*f*k/fs)``, computed as ``exp(1j*2*pi*(c - round(c)))``
+    with ``c = f*k/fs``.  The sign of ``f`` selects the rotation (negative =
+    left/clockwise, positive = right/counterclockwise).
 
-    When ``f`` is an integer, the phase is zero (of either sign) and ``fs``
-    is a power of two no larger than ``CARRIER_TABLE_MAX_RATE_HZ``, sample k
-    is entry ``(f*k) mod 2*fs`` of a memoised table of that same formula at
-    ``c = j/fs``.  ``f*k/fs`` is exact there and ``c - round(c)`` depends only
-    on ``c`` mod 2, since round-half-to-even looks at the parity of the
-    whole-cycle count; so each sample is the same double through the same
-    ``np.exp``, bit for bit.  Any other input evaluates the formula.
+    When ``f`` is an integer and ``fs`` is a power of two no larger than
+    ``CARRIER_TABLE_MAX_RATE_HZ``, sample k is entry ``(f*k) mod 2*fs`` of a
+    memoised table of that same formula at ``c = j/fs``.  ``f*k/fs`` is exact
+    there and ``c - round(c)`` depends only on ``c`` mod 2, since
+    round-half-to-even looks at the parity of the whole-cycle count; so each
+    sample is the same double through the same ``np.exp``, bit for bit.  Any
+    other input evaluates the formula.
     """
-    return ComplexSignal(_sealed(_carrier_samples(frequency_hz, n, sample_rate_hz, phase_rad)), sample_rate_hz)
+    return ComplexSignal(_sealed(_carrier_samples(frequency_hz, n, sample_rate_hz)), sample_rate_hz)
 
 
-def _carrier_samples(frequency_hz: float, n: int, sample_rate_hz: float, phase_rad: float) -> np.ndarray:
+def _carrier_samples(frequency_hz: float, n: int, sample_rate_hz: float) -> np.ndarray:
     """The samples of ``oscillator`` with these arguments, in a fresh array."""
     if n < 1:
         raise ValueError("oscillator sample count must be at least 1")
@@ -207,23 +207,18 @@ def _carrier_samples(frequency_hz: float, n: int, sample_rate_hz: float, phase_r
             f"limit for sample rate {sample_rate_hz} Hz"
         )
     fs = int(sample_rate_hz) if float(sample_rate_hz).is_integer() else 0
-    if (
-        phase_rad == 0
-        and float(frequency_hz).is_integer()
-        and 0 < fs <= CARRIER_TABLE_MAX_RATE_HZ
-        and fs & (fs - 1) == 0
-    ):
+    if float(frequency_hz).is_integer() and 0 < fs <= CARRIER_TABLE_MAX_RATE_HZ and fs & (fs - 1) == 0:
         f = int(frequency_hz)
         index = np.arange(0, f * n, f, dtype=np.int64) if f else np.zeros(n, dtype=np.int64)
         return _carrier_table(fs).take(np.bitwise_and(index, 2 * fs - 1, out=index))
     cycles = (frequency_hz * np.arange(n, dtype=np.float64)) / sample_rate_hz
-    return _carrier(cycles, phase_rad)
+    return _carrier(cycles)
 
 
-def _mix(s: ComplexSignal, frequency_hz: float, phase_rad: float = 0.0) -> ComplexSignal:
-    """``multiply(s, oscillator(frequency_hz, s.n, s.sample_rate_hz, phase_rad=phase_rad))``
-    bit for bit, the same product of the same samples, without the carrier's ``ComplexSignal``."""
-    carrier = _carrier_samples(frequency_hz, s.n, s.sample_rate_hz, phase_rad)
+def _mix(s: ComplexSignal, frequency_hz: float) -> ComplexSignal:
+    """``multiply(s, oscillator(frequency_hz, s.n, s.sample_rate_hz))`` bit for
+    bit, the same product of the same samples, without the carrier's ``ComplexSignal``."""
+    carrier = _carrier_samples(frequency_hz, s.n, s.sample_rate_hz)
     return ComplexSignal(_sealed(s.samples * carrier), s.sample_rate_hz, transient=s.transient)
 
 

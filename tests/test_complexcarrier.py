@@ -72,7 +72,7 @@ class TestComplexModulate:
 
     def test_energy_conserved(self):
         bb = _shaped_baseband()
-        moved = complex_modulate(bb, -F_C, phase_rad=0.41)
+        moved = complex_modulate(bb, -F_C)
         assert abs(energy(moved) - energy(bb)) <= 1e-12 * energy(bb)
 
     def test_real_projection_matches_real_modulation(self):
@@ -90,11 +90,10 @@ class TestComplexModulate:
 
 class TestComplexDemodulate:
     @pytest.mark.parametrize("f_c", [-F_C, +F_C])
-    @pytest.mark.parametrize("phase", [0.0, 0.7])
-    def test_round_trip_is_lossless(self, f_c, phase):
+    def test_round_trip_is_lossless(self, f_c):
         bb = _shaped_baseband()
-        moved = complex_modulate(bb, f_c, phase_rad=phase)
-        back = complex_demodulate(moved, f_c, phase_rad=phase)
+        moved = complex_modulate(bb, f_c)
+        back = complex_demodulate(moved, f_c)
         assert np.max(np.abs(back.samples - bb.samples)) < 1e-12
 
     def test_wrong_handedness_moves_content_away(self):
@@ -145,19 +144,18 @@ class TestBandMove:
             band_move(_tone(15000.0), +20000.0)
 
 
-#: (rate, symbols, samples per symbol, carriers, phases) per carrier path:
-#: the table (integer carrier, zero phase of either sign, power-of-two rate
-#: up to 65536 Hz) and the formula (anything else)
+#: (rate, symbols, samples per symbol, carriers) per carrier path: the table
+#: (integer carrier, power-of-two rate up to 65536 Hz) and the formula
+#: (anything else)
 MIX_GRID = {
-    "table-4096": (4096.0, 256, 16, [-1000.0, 0.0, 1000.0], [0.0, -0.0]),
-    "table-65536": (65536.0, 64, 64, [-8192.0, 0.0, 8192.0], [0.0, -0.0]),
-    "formula-48000": (48000.0, 32, 256, [1000.5], [0.3]),
+    "table-4096": (4096.0, 256, 16, [-1000.0, 0.0, 1000.0]),
+    "table-65536": (65536.0, 64, 64, [-8192.0, 0.0, 8192.0]),
+    "formula-48000": (48000.0, 32, 256, [1000.5]),
 }
 MIX_CASES = [
-    pytest.param(fs, n_symbols, sps, f, phase, transient, id=f"{path}-f{f}-phase{phase}-transient{transient}")
-    for path, (fs, n_symbols, sps, freqs, phases) in MIX_GRID.items()
+    pytest.param(fs, n_symbols, sps, f, transient, id=f"{path}-f{f}-transient{transient}")
+    for path, (fs, n_symbols, sps, freqs) in MIX_GRID.items()
     for f in freqs
-    for phase in phases
     for transient in (0, 37)
 ]
 
@@ -168,25 +166,23 @@ def _bytes(s):
 
 class TestShiftIsMultiplyByOscillator:
     """Every frequency shift is, byte for byte, its documented definition:
-    the signal times ``oscillator`` at the signed frequency and phase."""
+    the signal times ``oscillator`` at the signed frequency."""
 
-    @pytest.mark.parametrize("fs, n_symbols, sps, f, phase, transient", MIX_CASES)
-    def test_complex_shifts(self, fs, n_symbols, sps, f, phase, transient):
+    @pytest.mark.parametrize("fs, n_symbols, sps, f, transient", MIX_CASES)
+    def test_complex_shifts(self, fs, n_symbols, sps, f, transient):
         bb = _shaped_baseband(n_symbols=n_symbols, sps=sps, fs=fs)
         s = ComplexSignal(bb.samples, fs, transient=transient)
         n = s.n
-        up = multiply(s, oscillator(f, n, fs, phase_rad=phase))
-        down = multiply(s, oscillator(-f, n, fs, phase_rad=-phase))
-        assert _bytes(complex_modulate(s, f, phase_rad=phase)) == _bytes(up)
-        assert _bytes(complex_demodulate(s, f, phase_rad=phase)) == _bytes(down)
-        if phase == 0.0:
-            assert _bytes(band_move(s, f)) == _bytes(multiply(s, oscillator(f, n, fs)))
+        up = multiply(s, oscillator(f, n, fs))
+        assert _bytes(complex_modulate(s, f)) == _bytes(up)
+        assert _bytes(band_move(s, f)) == _bytes(up)
+        assert _bytes(complex_demodulate(s, f)) == _bytes(multiply(s, oscillator(-f, n, fs)))
 
     @pytest.mark.parametrize(
         "fs, n_symbols, sps, f, transient",
         [
             pytest.param(fs, n_symbols, sps, f, transient, id=f"{path}-f{f}-transient{transient}")
-            for path, (fs, n_symbols, sps, freqs, _) in MIX_GRID.items()
+            for path, (fs, n_symbols, sps, freqs) in MIX_GRID.items()
             for f in freqs
             if f != 0.0
             for transient in (0, 37)

@@ -57,6 +57,17 @@ class TestDesignLowpass:
         with pytest.raises(ValueError):
             design_lowpass(FilterSpec(100.0, 1.0, 60.0), FS)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FilterSpec(6144.0, 1e-320),  # the length estimate divides by zero
+            FilterSpec(6144.0, 2048.0, 1e308),  # the length estimate overflows
+        ],
+    )
+    def test_overflowing_length_estimate_rejected(self, spec):
+        with pytest.raises(ValueError, match=f"^filter design needs over {MAX_TAPS} taps$"):
+            design_lowpass(spec, FS)
+
     def test_cutoff_beyond_nyquist_rejected(self):
         with pytest.raises(ValueError):
             design_lowpass(FilterSpec(30000.0, 4000.0, 60.0), FS)

@@ -23,8 +23,8 @@ N = 8192
 F0 = 512.0
 
 
-def _tone(f, phase=0.0):
-    return oscillator(f, N, FS, phase_rad=phase)
+def _tone(f):
+    return oscillator(f, N, FS)
 
 
 def _random_signal(seed=0):

@@ -26,8 +26,8 @@ from carrierlab import (
 FS = 4096.0
 
 
-def _osc(f, n=256, fs=FS, phase=0.0):
-    return oscillator(f, n, fs, phase_rad=phase)
+def _osc(f, n=256, fs=FS):
+    return oscillator(f, n, fs)
 
 
 def _signal(values, fs=FS):
@@ -174,12 +174,6 @@ class TestOscillator:
         np.testing.assert_array_equal(neg.samples, np.conj(pos.samples))
         np.testing.assert_allclose(neg.samples, [1, -1j, -1, 1j], atol=1e-15)
 
-    def test_initial_phase_rotates(self):
-        phase = 0.7
-        s = _osc(128.0, phase=phase)
-        ref = _osc(128.0).samples * np.exp(1j * phase)
-        np.testing.assert_allclose(s.samples, ref, atol=1e-12)
-
     @given(f=on_grid_freqs, n=st.integers(min_value=1, max_value=512))
     def test_unit_modulus(self, f, n):
         s = oscillator(f, n, FS)
@@ -195,11 +189,11 @@ class TestOscillator:
             oscillator(1.0, 0, FS)
 
 
-def _documented_carrier(f, n, fs, phase=0.0):
+def _documented_carrier(f, n, fs):
     """The oscillator formula as documented, evaluated sample by sample."""
     k = np.arange(n, dtype=np.float64)
     cycles = (f * k) / fs
-    return np.exp(1j * (2.0 * np.pi * (cycles - np.round(cycles)) + phase))
+    return np.exp(1j * (2.0 * np.pi * (cycles - np.round(cycles))))
 
 
 class TestOscillatorTable:
@@ -215,10 +209,8 @@ class TestOscillatorTable:
         tie_counts = set()
         for f in freqs:
             for n in (1, 7, 4096, 65536):
-                expected = _documented_carrier(f, n, float(fs)).tobytes()
-                for phase in (0.0, -0.0):
-                    got = oscillator(f, n, float(fs), phase_rad=phase).samples
-                    assert got.tobytes() == expected, (f, n, phase)
+                got = oscillator(f, n, float(fs)).samples
+                assert got.tobytes() == _documented_carrier(f, n, float(fs)).tobytes(), (f, n)
                 cycles = f * np.arange(n) / fs
                 ties = cycles[cycles - np.floor(cycles) == 0.5]
                 tie_counts.update(np.floor(ties).astype(np.int64) % 2)
@@ -227,20 +219,18 @@ class TestOscillatorTable:
         assert tie_counts == {0, 1}
 
     @pytest.mark.parametrize(
-        "f, fs, phase",
+        "f, fs",
         [
-            (1000.5, 4096.0, 0.0),  # non-integer frequency
-            (1024.0, 4096.0, 0.7),  # nonzero phase
-            (-1.0, 4096.0, -1e-300),
-            (12000.0, 48000.0, 0.0),  # not a power of two
-            (16384.0, 2.0**17, 0.0),  # above the table's rate cap
-            (-65535.0, 2.0**17, 0.0),
+            (1000.5, 4096.0),  # non-integer frequency
+            (12000.0, 48000.0),  # not a power of two
+            (16384.0, 2.0**17),  # above the table's rate cap
+            (-65535.0, 2.0**17),
         ],
     )
-    def test_off_grid_is_bitwise_the_formula(self, f, fs, phase):
+    def test_off_grid_is_bitwise_the_formula(self, f, fs):
         for n in (1, 7, 4096):
-            got = oscillator(f, n, fs, phase_rad=phase).samples
-            assert got.tobytes() == _documented_carrier(f, n, fs, phase).tobytes()
+            got = oscillator(f, n, fs).samples
+            assert got.tobytes() == _documented_carrier(f, n, fs).tobytes()
 
     def test_table_is_read_only(self):
         oscillator(3.0, 8, 64.0)
