@@ -89,7 +89,8 @@ class TestComplexModulate:
 
 
 class TestComplexDemodulate:
-    @pytest.mark.parametrize("f_c", [-F_C, +F_C])
+    # the table path (integer carrier) and the formula path (off-integer)
+    @pytest.mark.parametrize("f_c", [-F_C, +F_C, -(F_C + 0.5), F_C + 0.5])
     def test_round_trip_is_lossless(self, f_c):
         bb = _shaped_baseband()
         moved = complex_modulate(bb, f_c)
@@ -150,7 +151,8 @@ class TestBandMove:
 MIX_GRID = {
     "table-4096": (4096.0, 256, 16, [-1000.0, 0.0, 1000.0]),
     "table-65536": (65536.0, 64, 64, [-8192.0, 0.0, 8192.0]),
-    "formula-48000": (48000.0, 32, 256, [1000.5]),
+    "formula-48000": (48000.0, 32, 256, [-1000.5, 1000.5]),
+    "formula-65536": (65536.0, 64, 64, [-8192.5, 8192.5]),
 }
 MIX_CASES = [
     pytest.param(fs, n_symbols, sps, f, transient, id=f"{path}-f{f}-transient{transient}")

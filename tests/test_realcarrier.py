@@ -54,7 +54,7 @@ class TestRealModulate:
         expected = -np.sin(2 * np.pi * F_C * np.arange(4096) / FS)
         np.testing.assert_allclose(passband.samples.real, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("f_c", [F_C, -F_C])
+    @pytest.mark.parametrize("f_c", [F_C, -F_C, F_C + 0.5, -(F_C + 0.5)])
     def test_half_sum_identity(self, f_c):
         # transmitted real part equals the half-sum of the two mirrored bands
         bb = _shaped_baseband()
