@@ -93,15 +93,19 @@ def dual_demodulate(
 
     Each branch demodulates one band to DC with ``complex_demodulate`` and
     low-pass filters the other away; the branches are independent, so their
-    results do not depend on evaluation order.
+    results do not depend on evaluation order.  The other band lands at
+    2*f_c from DC, or at fs - 2*f_c once 2*f_c wraps past fs/2, and the
+    filter's stopband must begin before the nearer of the two.
     """
     if not f_c > 0:
         raise ValueError("dual demodulation carrier frequency must be positive")
     b = occupied_bandwidth(cb, f_center=f_c)
-    if lpf.cutoff_hz + lpf.transition_hz > 2 * f_c - b:
+    sep = min(2 * f_c, cb.sample_rate_hz - 2 * f_c)
+    if lpf.cutoff_hz + lpf.transition_hz > sep - b:
         raise ValueError(
             f"low-pass cutoff {lpf.cutoff_hz} Hz + transition {lpf.transition_hz} Hz "
-            f"cannot isolate one band at +/-{f_c} Hz (stream width {b} Hz)"
+            f"cannot isolate one band at +/-{f_c} Hz from the other, {sep} Hz "
+            f"away (stream width {b} Hz)"
         )
     taps = design_lowpass(lpf, cb.sample_rate_hz)
     recovered_a = apply_filter(complex_demodulate(cb, -f_c), taps)

@@ -256,7 +256,8 @@ class TestVerdictEnvelope:
             pytest.param("fig5", dict(rolloff=0.0), {"recovered_peak_rel_err"}, id="fig5-rolloff-0"),
             pytest.param("fig5", dict(stopband_atten_db=40.0), {"recovered_peak_rel_err"}, id="fig5-stopband-40dB"),
             # the dual chain demodulates without a band guard, so its other
-            # band may pass fs/2 on the way to DC
+            # band may wrap past fs/2 on the way to DC (to 25536 Hz from DC
+            # at f_c 20000)
             *(
                 pytest.param(scenario, overrides, set(), id=f"{scenario}-{name}")
                 for scenario in ("fig10", "compare")
@@ -270,6 +271,15 @@ class TestVerdictEnvelope:
     def test_failing_verdicts(self, scenario, overrides, failing):
         report, _ = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096, **overrides))
         assert {v.name for v in report.verdicts if not v.passed} == failing
+
+    @pytest.mark.parametrize("scenario", ["fig10", "compare"])
+    def test_wrapped_other_band_in_the_passband_is_rejected(self, scenario):
+        # at f_c 24000 the other band wraps to 65536 - 48000 = 17536 Hz from
+        # DC, inside the default 18000 Hz passband
+        cfg = ScenarioConfig(scenario=scenario, n_samples=4096, f_c_hz=24000.0)
+        cfg.validate()  # accepted; dual_demodulate rejects it
+        with pytest.raises(ValueError, match="cannot isolate one band .* 17536.0 Hz away"):
+            execute_scenario(cfg)
 
     def test_carrier_at_a_quarter_of_the_rate_is_rejected(self, monkeypatch):
         # group_laws' sign-flip carrier sits at fs/2: rejected before the

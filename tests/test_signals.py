@@ -174,11 +174,6 @@ class TestOscillator:
         np.testing.assert_array_equal(neg.samples, np.conj(pos.samples))
         np.testing.assert_allclose(neg.samples, [1, -1j, -1, 1j], atol=1e-15)
 
-    @pytest.mark.parametrize("f, fs", [(1000.0, 4096.0), (1000.5, 4096.0), (12000.0, 48000.0)])
-    def test_starts_at_phase_zero(self, f, fs):
-        # a carrier is its signed frequency alone: every path starts at 1
-        assert oscillator(f, 8, fs).samples[0] == 1.0 + 0.0j
-
     @given(f=on_grid_freqs, n=st.integers(min_value=1, max_value=512))
     def test_unit_modulus(self, f, n):
         s = oscillator(f, n, FS)
