@@ -7,7 +7,10 @@ demodulation are the same operation in opposite directions ("band moves"),
 and the negative and positive bands can carry two independent streams at
 once.  Band moves compose additively and commute, with zero shift as the
 identity and the negated shift as the inverse.  Every demodulation in the
-library is ``complex_demodulate``, the unguarded inverse of modulation.
+library is ``complex_demodulate``, the unguarded inverse of modulation;
+where a low-pass filter then isolates one band, dual or real, the other band
+lands 2*f_c from DC, or fs - 2*f_c once 2*f_c wraps past fs/2, and the
+stopband, from cutoff + transition/2, must not pass its inner edge.
 """
 
 from __future__ import annotations
@@ -86,28 +89,29 @@ def dual_modulate(msg: DualMessage, f_c: float) -> ComplexSignal:
     return add(moved_a, moved_b)
 
 
-def dual_demodulate(
-    cb: ComplexSignal, f_c: float, lpf: FilterSpec
-) -> tuple[ComplexSignal, ComplexSignal]:
+def _isolating_lowpass(s: ComplexSignal, f_c: float, lpf: FilterSpec) -> np.ndarray:
+    """``lpf``'s taps at ``s``'s rate, once it keeps the module's isolation
+    rule, with ``b`` the two-sided width of the bands at +/-``f_c``."""
+    b = occupied_bandwidth(s, f_center=f_c)
+    sep = min(2 * f_c, s.sample_rate_hz - 2 * f_c)
+    if lpf.cutoff_hz + lpf.transition_hz / 2 > sep - b / 2:
+        raise ValueError(
+            f"low-pass cutoff {lpf.cutoff_hz} Hz + transition {lpf.transition_hz}/2 Hz cannot isolate "
+            f"one band at +/-{f_c} Hz from the other, {sep} Hz away (band width {b} Hz)"
+        )
+    return design_lowpass(lpf, s.sample_rate_hz)
+
+
+def dual_demodulate(cb: ComplexSignal, f_c: float, lpf: FilterSpec) -> tuple[ComplexSignal, ComplexSignal]:
     """Recover both streams of a dual-band signal.
 
     Each branch demodulates one band to DC with ``complex_demodulate`` and
     low-pass filters the other away; the branches are independent, so their
-    results do not depend on evaluation order.  The other band lands at
-    2*f_c from DC, or at fs - 2*f_c once 2*f_c wraps past fs/2, and the
-    filter's stopband must begin before the nearer of the two.
+    results do not depend on evaluation order.
     """
     if not f_c > 0:
         raise ValueError("dual demodulation carrier frequency must be positive")
-    b = occupied_bandwidth(cb, f_center=f_c)
-    sep = min(2 * f_c, cb.sample_rate_hz - 2 * f_c)
-    if lpf.cutoff_hz + lpf.transition_hz > sep - b:
-        raise ValueError(
-            f"low-pass cutoff {lpf.cutoff_hz} Hz + transition {lpf.transition_hz} Hz "
-            f"cannot isolate one band at +/-{f_c} Hz from the other, {sep} Hz "
-            f"away (stream width {b} Hz)"
-        )
-    taps = design_lowpass(lpf, cb.sample_rate_hz)
+    taps = _isolating_lowpass(cb, f_c, lpf)
     recovered_a = apply_filter(complex_demodulate(cb, -f_c), taps)
     recovered_b = apply_filter(complex_demodulate(cb, +f_c), taps)
     return recovered_a, recovered_b

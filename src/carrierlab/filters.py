@@ -66,13 +66,15 @@ def _kaiser_lowpass(numtaps: int, right: float, beta: float) -> np.ndarray:
 
 def kaiser_order(spec: FilterSpec, sample_rate_hz: float) -> tuple[int, float]:
     """Tap count and Kaiser beta of the design for ``spec``; raises ValueError
-    when the filter band reaches half the sample rate or the count exceeds
-    ``MAX_TAPS``."""
+    when the filter band reaches half the sample rate, the cutoff is a
+    subnormal fraction of it, or the count exceeds ``MAX_TAPS``."""
     if spec.cutoff_hz + spec.transition_hz >= sample_rate_hz / 2:
         raise ValueError(
             "cutoff_hz + transition_hz must stay below half the sample rate "
             f"({spec.cutoff_hz} + {spec.transition_hz} vs {sample_rate_hz / 2})"
         )
+    if spec.cutoff_hz / (sample_rate_hz / 2) < np.finfo(np.float64).tiny:  # below it the taps underflow
+        raise ValueError(f"cutoff_hz {spec.cutoff_hz} is too small a fraction of half the sample rate")
     # Kaiser's formulas as scipy.signal.kaiserord and kaiser_beta evaluate them
     atten = spec.stopband_atten_db
     if atten < 8:

@@ -2,19 +2,20 @@
 the real part, then demodulate by mixing and low-pass filtering.
 
 Taking the real part splits the baseband's energy into two conjugate-mirrored
-bands around +/- the carrier frequency.  Demodulation mixes one of them back
-to DC with ``complex_demodulate``, and the low-pass filter that removes the
-2x-carrier image necessarily discards the other band's half of the energy:
-the recovered waveform is the baseband at half amplitude (or its conjugate,
-depending on the mixing direction).
+bands around +/- the carrier frequency.  Demodulation mixes one back to DC
+with ``complex_demodulate`` and low-pass filters the other, the image, away
+with its half of the energy: the recovered waveform is the baseband at half
+amplitude (or its conjugate, depending on the mixing direction).  The image
+lands 2*f_c from DC, or fs - 2*f_c once that wraps past fs/2, and the
+stopband, from cutoff + transition/2, must not pass its inner edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexcarrier import complex_demodulate, complex_modulate
-from .filters import FilterSpec, apply_filter, design_lowpass
+from .complexcarrier import _isolating_lowpass, complex_demodulate, complex_modulate
+from .filters import FilterSpec, apply_filter
 from .signals import ComplexSignal, real_part
 from .spectrum import occupied_bandwidth
 
@@ -42,18 +43,12 @@ def real_demodulate(passband: ComplexSignal, frequency_hz: float, lpf: FilterSpe
     ``frequency_hz`` is the mixing oscillator's signed frequency:
     mixing a signal that was modulated at +f with a -f carrier recovers
     baseband/2; mixing with +f recovers conj(baseband)/2.  Either way the
-    image at twice the carrier is filtered off, discarding half the received
-    energy.  The output is group-delay compensated and flags the filter
-    transients.
+    image, 2*f from DC or fs - 2*f once that wraps past fs/2, is filtered
+    off with half the received energy; ValueError when the stopband, from
+    ``cutoff_hz + transition_hz/2``, passes the image's inner edge.  The
+    output is group-delay compensated and flags the filter transients.
     """
     if np.any(passband.samples.imag != 0.0):
         raise ValueError("real-carrier demodulation expects a real-valued passband signal")
-    f_c = abs(frequency_hz)
-    b = occupied_bandwidth(passband, f_center=f_c)
-    if lpf.cutoff_hz >= 2 * f_c - b:
-        raise ValueError(
-            f"low-pass cutoff {lpf.cutoff_hz} Hz cannot reject the image at "
-            f"{2 * f_c} Hz (passband width {b} Hz)"
-        )
-    taps = design_lowpass(lpf, passband.sample_rate_hz)
+    taps = _isolating_lowpass(passband, abs(frequency_hz), lpf)
     return apply_filter(complex_demodulate(passband, -frequency_hz), taps)

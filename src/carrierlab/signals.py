@@ -278,15 +278,13 @@ def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
         raise ValueError("rolloff must lie in [0, 1]")
     half = RC_SPAN_SYMBOLS * samples_per_symbol
     t = np.arange(-half, half + 1, dtype=np.float64) / samples_per_symbol
-    if rolloff == 0.0:
-        return np.sinc(t)
     denom = 1.0 - (2.0 * rolloff * t) ** 2
     singular = np.abs(denom) < 1e-8
     pulse = np.empty_like(t)
     reg = ~singular
     pulse[reg] = np.sinc(t[reg]) * np.cos(np.pi * rolloff * t[reg]) / denom[reg]
-    # limit value at t = +/- 1/(2*rolloff)
-    pulse[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
+    if np.any(singular):  # limit value at t = +/- 1/(2*rolloff), which may overflow
+        pulse[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
     return pulse
 
 

@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carrierlab
@@ -80,7 +80,7 @@ class TestRun:
             (["--scenario", "fig7", "--guard-hz", "8000"], "does not fit a band"),
             (["--scenario", "fig5", "--n-samples", "1024", "--transition-hz", "200"], "no steady-state samples"),
             (["--scenario", "fig10", "--n-samples", "1024", "--transition-hz", "200"], "no steady-state samples"),
-            (["--scenario", "fig10", "--cutoff-hz", "15000", "--transition-hz", "1000"], "cannot isolate one band"),
+            (["--scenario", "fig10", "--cutoff-hz", "15500", "--transition-hz", "1000"], "cannot isolate one band"),
             (["--scenario", "group_laws", "--n-samples", "64"], "past the Nyquist limit"),
             (["--scenario", "fig4", "--n-samples", "abc"], "invalid literal for int()"),
             (["--scenario", "fig4", "--n-samples", str(1 << 21)], "n_samples must be at most 1048576"),
@@ -238,10 +238,21 @@ _OVERRIDES = st.lists(
 ).map(dict)
 # n_samples is always set, and small, so that every example runs quickly
 _N_SAMPLES = st.sampled_from(["256", "1024", "2048"]) | st.sampled_from(["1000", "0", "-2", "abc"])
+#: CARRIERLAB_FUZZ_EXAMPLES=N draws N examples, all at 256 samples, for a
+#: deeper fuzz than the suite's 40 (an explicit max_examples overrides any
+#: hypothesis profile, so a profile cannot raise it)
+_DEEP_EXAMPLES = os.environ.get("CARRIERLAB_FUZZ_EXAMPLES")
 
 
-@settings(max_examples=40, deadline=None)
-@given(scenario=st.sampled_from(SCENARIOS), n_samples=_N_SAMPLES, overrides=_OVERRIDES)
+@settings(max_examples=int(_DEEP_EXAMPLES or 40), deadline=None)
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    n_samples=st.just("256") if _DEEP_EXAMPLES else _N_SAMPLES,
+    overrides=_OVERRIDES,
+)
+# 1/(2*rolloff) overflows; a cutoff whose normalized value is subnormal
+@example(scenario="fig4", n_samples="256", overrides={"rolloff": "1e-320"})
+@example(scenario="fig5", n_samples="1024", overrides={"cutoff_hz": "1e-320"})
 def test_every_config_ends_in_a_verdict_or_one_line(scenario, n_samples, overrides):
     """A run either writes a report and exits 0 or 1, or writes nothing and
     exits 2 with a one-line diagnostic; no exception escapes ``main``."""

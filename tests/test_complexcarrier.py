@@ -409,9 +409,38 @@ class TestDualDemodulate:
     def test_unisolatable_cutoff_rejected(self):
         a = _shaped_baseband(seed=7)
         dual = dual_modulate(DualMessage(a, a, GUARD), F_C)
-        wide = FilterSpec(cutoff_hz=14000.0, transition_hz=2048.0)
-        with pytest.raises(ValueError):
+        # the stopband from 15000 + 2048/2 Hz passes the other band's inner
+        # edge, 2*F_C less half the 1116 Hz band width
+        wide = FilterSpec(cutoff_hz=15000.0, transition_hz=2048.0)
+        with pytest.raises(ValueError, match="cannot isolate one band"):
             dual_demodulate(dual, F_C, wide)
+
+
+class TestIsolationRule:
+    """Both demodulators keep one rule: the low-pass stopband, from cutoff +
+    transition/2, may reach the other band's inner edge, sep - b/2, and no
+    further, with the other band at 2*f_c or, wrapped, at fs - 2*f_c."""
+
+    @pytest.mark.parametrize(
+        "demodulate",
+        [
+            pytest.param(lambda s, f_c, lpf: real_demodulate(s, -f_c, lpf), id="real"),
+            pytest.param(dual_demodulate, id="dual"),
+        ],
+    )
+    @pytest.mark.parametrize("f_c", [F_C, 24000.0], ids=["2fc-below-half-fs", "2fc-above-half-fs"])
+    def test_stopband_edge_reaches_the_other_band_and_no_further(self, f_c, demodulate):
+        passband = real_modulate(_shaped_baseband(n_symbols=64), f_c)
+        b = occupied_bandwidth(passband, f_center=f_c)
+        sep = min(2 * f_c, FS - 2 * f_c)
+        transition = 512.0
+        cutoff = sep - b / 2 - transition / 2
+        assert cutoff + transition / 2 == sep - b / 2
+        demodulate(passband, f_c, FilterSpec(cutoff, transition))
+        above = np.nextafter(cutoff, np.inf)
+        assert above + transition / 2 > sep - b / 2
+        with pytest.raises(ValueError, match=f"cannot isolate one band .* {sep} Hz away"):
+            demodulate(passband, f_c, FilterSpec(above, transition))
 
 
 class TestEvm:

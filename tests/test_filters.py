@@ -68,6 +68,12 @@ class TestDesignLowpass:
         with pytest.raises(ValueError, match=f"^filter design needs over {MAX_TAPS} taps$"):
             design_lowpass(spec, FS)
 
+    @pytest.mark.parametrize("cutoff_hz", [1e-320, 5e-324])
+    def test_subnormal_normalized_cutoff_rejected(self, cutoff_hz):
+        # its taps would sum to 0, and normalizing them would divide 0 by 0
+        with pytest.raises(ValueError, match=f"^cutoff_hz {cutoff_hz} is too small"):
+            design_lowpass(FilterSpec(cutoff_hz, 2048.0), FS)
+
     def test_cutoff_beyond_nyquist_rejected(self):
         with pytest.raises(ValueError):
             design_lowpass(FilterSpec(30000.0, 4000.0, 60.0), FS)

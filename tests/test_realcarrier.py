@@ -128,7 +128,8 @@ class TestRealDemodulate:
     def test_leaky_cutoff_rejected(self):
         bb = _shaped_baseband()
         passband = real_modulate(bb, F_C)
-        # cutoff above 2*f_c - B cannot reject the image
-        leaky = FilterSpec(cutoff_hz=15500.0, transition_hz=512.0)
-        with pytest.raises(ValueError):
+        # the stopband from 15700 + 512/2 Hz passes the image's inner edge,
+        # 2*f_c less half the 1118 Hz band width
+        leaky = FilterSpec(cutoff_hz=15700.0, transition_hz=512.0)
+        with pytest.raises(ValueError, match="cannot isolate one band"):
             real_demodulate(passband, -F_C, leaky)

@@ -246,8 +246,9 @@ class TestCompareWritesNoArtifact:
 
 
 class TestVerdictEnvelope:
-    """Boundary points of README's verdict envelope, at 4096 samples and the
-    default rates and seed.  A change that moves one updates that table."""
+    """Boundary points of README's verdict envelope, at 4096 samples (unless
+    a case sets ``n_samples``) and the default rates and seed.  A change
+    that moves one updates that table."""
 
     @pytest.mark.parametrize(
         "scenario, overrides, failing",
@@ -266,18 +267,27 @@ class TestVerdictEnvelope:
                     ("fc-20000", dict(f_c_hz=20000.0)),
                 )
             ),
+            # a stopband from 15000 + 1000/2 Hz stays below the other band's
+            # inner edge, 16384 Hz less half its width; at 4096 samples the
+            # measured width of stream A alone is too coarse for that
+            pytest.param(
+                "fig10",
+                dict(n_samples=65536, cutoff_hz=15000.0, transition_hz=1000.0),
+                set(),
+                id="fig10-65536-cutoff-15000-transition-1000",
+            ),
         ],
     )
     def test_failing_verdicts(self, scenario, overrides, failing):
-        report, _ = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096, **overrides))
+        report, _ = execute_scenario(ScenarioConfig(**{"scenario": scenario, "n_samples": 4096, **overrides}))
         assert {v.name for v in report.verdicts if not v.passed} == failing
 
-    @pytest.mark.parametrize("scenario", ["fig10", "compare"])
+    @pytest.mark.parametrize("scenario", ["fig5", "fig10", "compare"])
     def test_wrapped_other_band_in_the_passband_is_rejected(self, scenario):
         # at f_c 24000 the other band wraps to 65536 - 48000 = 17536 Hz from
         # DC, inside the default 18000 Hz passband
         cfg = ScenarioConfig(scenario=scenario, n_samples=4096, f_c_hz=24000.0)
-        cfg.validate()  # accepted; dual_demodulate rejects it
+        cfg.validate()  # accepted; the demodulation rejects it
         with pytest.raises(ValueError, match="cannot isolate one band .* 17536.0 Hz away"):
             execute_scenario(cfg)
 
