@@ -49,7 +49,6 @@ from .signals import (
     generate_baseband,
     multiply,
     oscillator,
-    raised_cosine_pulse,
     real_part,
 )
 from .spectrum import (
@@ -59,7 +58,6 @@ from .spectrum import (
     conj_mirror_correlation,
     conj_mirror_error,
     dft_two_sided,
-    occupied_bandwidth,
     occupied_extent,
     peak_frequency,
 )
@@ -101,12 +99,10 @@ __all__ = [
     "from_polarized",
     "generate_baseband",
     "multiply",
-    "occupied_bandwidth",
     "occupied_extent",
     "oscillator",
     "pair_energy",
     "peak_frequency",
-    "raised_cosine_pulse",
     "real_demodulate",
     "real_modulate",
     "real_part",

@@ -6,7 +6,10 @@ signed carrier frequency and conserves energy exactly, so modulation and
 demodulation are the same operation in opposite directions ("band moves"),
 and the negative and positive bands can carry two independent streams at
 once.  Band moves compose additively and commute, with zero shift as the
-identity and the negated shift as the inverse.  Every demodulation in the
+identity and the negated shift as the inverse.  Both modulators that put a
+band beside another, the dual one and the real one (whose real part mirrors
+the band), keep one rule: the band moved by f must stay on f's side of DC,
+its DC-facing edge at least the guard from it.  Every demodulation in the
 library is ``complex_demodulate``, the unguarded inverse of modulation;
 where a low-pass filter then isolates one band, dual or real, the other band
 lands 2*f_c from DC, or fs - 2*f_c once 2*f_c wraps past fs/2, and the
@@ -21,7 +24,7 @@ import numpy as np
 
 from .filters import FilterSpec, apply_filter, design_lowpass
 from .signals import ComplexSignal, _mix, _require_aligned, _sum_sq, add, steady_pair
-from .spectrum import occupied_bandwidth, occupied_extent
+from .spectrum import occupied_extent
 
 
 def complex_modulate(bb: ComplexSignal, frequency_hz: float) -> ComplexSignal:
@@ -72,18 +75,33 @@ class DualMessage:
             raise ValueError("guard_hz cannot be negative")
 
 
+def _clear_of_dc(s: ComplexSignal, frequency_hz: float, guard_hz: float, name: str) -> None:
+    """Raise ValueError unless ``s`` moved by ``frequency_hz`` lies on that
+    shift's side of DC, ``guard_hz`` clear of it: ``lo + f >= guard_hz`` for
+    ``f > 0`` and ``hi + f <= -guard_hz`` for ``f < 0``, over the extent
+    ``[lo, hi]``.  A zero shift rejects any signal with energy; a signal
+    without energy is never rejected."""
+    extent = occupied_extent(s)
+    if extent is None:
+        return
+    lo, hi = extent
+    # the moved band's DC-facing edge, signed so that away from DC is positive
+    clearance = lo + frequency_hz if frequency_hz > 0 else -(hi + frequency_hz)
+    if frequency_hz == 0 or clearance < guard_hz:
+        raise ValueError(
+            f"{name} occupying [{lo}, {hi}] Hz does not fit a band at {frequency_hz} Hz "
+            f"on its side of DC, {guard_hz} Hz clear of it"
+        )
+
+
 def dual_modulate(msg: DualMessage, f_c: float) -> ComplexSignal:
     """Carry stream A on the negative band and stream B on the positive band
-    of a single complex waveform."""
+    of a single complex waveform.  Each moved stream must keep to its own
+    side of DC, ``guard_hz`` clear of it, so the two bands never meet."""
     if not f_c > 0:
         raise ValueError("dual modulation carrier frequency must be positive")
-    for name, stream in (("stream_a", msg.stream_a), ("stream_b", msg.stream_b)):
-        b = occupied_bandwidth(stream)
-        if b + 2 * msg.guard_hz > 2 * f_c:
-            raise ValueError(
-                f"{name} bandwidth {b} Hz plus guard {msg.guard_hz} Hz does not "
-                f"fit a band at +/-{f_c} Hz"
-            )
+    _clear_of_dc(msg.stream_a, -f_c, msg.guard_hz, "stream_a")
+    _clear_of_dc(msg.stream_b, +f_c, msg.guard_hz, "stream_b")
     moved_a = complex_modulate(msg.stream_a, -f_c)
     moved_b = complex_modulate(msg.stream_b, +f_c)
     return add(moved_a, moved_b)
@@ -91,8 +109,10 @@ def dual_modulate(msg: DualMessage, f_c: float) -> ComplexSignal:
 
 def _isolating_lowpass(s: ComplexSignal, f_c: float, lpf: FilterSpec) -> np.ndarray:
     """``lpf``'s taps at ``s``'s rate, once it keeps the module's isolation
-    rule, with ``b`` the two-sided width of the bands at +/-``f_c``."""
-    b = occupied_bandwidth(s, f_center=f_c)
+    rule, with ``b`` the two-sided width of the bands at +/-``f_c``: twice
+    the largest ``|f| - f_c`` over ``s``'s occupied extent, 0 without energy."""
+    lo, hi = occupied_extent(s) or (0.0, 0.0)
+    b = 2.0 * max(hi - f_c, -lo - f_c, 0.0)
     sep = min(2 * f_c, s.sample_rate_hz - 2 * f_c)
     if lpf.cutoff_hz + lpf.transition_hz / 2 > sep - b / 2:
         raise ValueError(
@@ -120,7 +140,6 @@ def dual_demodulate(cb: ComplexSignal, f_c: float, lpf: FilterSpec) -> tuple[Com
 def evm_db(recovered: ComplexSignal, reference: ComplexSignal) -> float:
     """Error vector magnitude, ``10*log10(err_energy / ref_energy)`` in dB,
     over the samples outside both signals' transient regions."""
-    _require_aligned(recovered, reference, "evm_db")
     r, ref = steady_pair(recovered, reference)
     ref_energy = _sum_sq(ref)
     if ref_energy == 0.0:

@@ -8,16 +8,17 @@ with its half of the energy: the recovered waveform is the baseband at half
 amplitude (or its conjugate, depending on the mixing direction).  The image
 lands 2*f_c from DC, or fs - 2*f_c once that wraps past fs/2, and the
 stopband, from cutoff + transition/2, must not pass its inner edge.
+Modulation keeps the two bands apart by the dual chain's rule with no guard:
+the band moved to f stays on f's side of DC, so its mirror never meets it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexcarrier import _isolating_lowpass, complex_demodulate, complex_modulate
+from .complexcarrier import _clear_of_dc, _isolating_lowpass, complex_demodulate, complex_modulate
 from .filters import FilterSpec, apply_filter
 from .signals import ComplexSignal, real_part
-from .spectrum import occupied_bandwidth
 
 
 def real_modulate(bb: ComplexSignal, frequency_hz: float) -> ComplexSignal:
@@ -25,15 +26,12 @@ def real_modulate(bb: ComplexSignal, frequency_hz: float) -> ComplexSignal:
     keep only the real part.
 
     The output's imaginary part is exactly zero and its spectrum occupies
-    both bands around +/- carrier, each holding half the energy.  The shift
-    itself is ``complex_modulate``'s, guard included.
+    both bands around +/- carrier, each holding half the energy.  ValueError
+    unless the moved band's DC-facing edge stays on the carrier's side of DC,
+    touching it at most: past DC, the band's mirror would overlap it.  The
+    shift itself is ``complex_modulate``'s, guard included.
     """
-    b = occupied_bandwidth(bb)
-    if b >= abs(frequency_hz):
-        raise ValueError(
-            f"baseband bandwidth {b} Hz overlaps the carrier at {frequency_hz} Hz; "
-            "real-carrier modulation needs bandwidth below |carrier|"
-        )
+    _clear_of_dc(bb, frequency_hz, 0.0, "baseband")
     return real_part(complex_modulate(bb, frequency_hz))
 
 

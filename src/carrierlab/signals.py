@@ -82,12 +82,6 @@ class ComplexSignal:
     def n(self) -> int:
         return int(self.samples.size)
 
-    def steady(self) -> np.ndarray:
-        """Samples with the transient edges removed."""
-        if 2 * self.transient >= self.n:
-            raise ValueError("signal has no steady-state samples left")
-        return self.samples[self.transient : self.n - self.transient]
-
 
 def _adopt(a, dtype=np.complex128) -> np.ndarray:
     """``a`` as a read-only ``dtype`` array: ``a`` itself when it is one and
@@ -249,8 +243,9 @@ def add(a: ComplexSignal, b: ComplexSignal) -> ComplexSignal:
 
 
 def steady_pair(x: ComplexSignal, y: ComplexSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of ``x`` and of ``y`` outside the larger of their two
-    transient edges, so both slices cover the same instants."""
+    """Samples of ``x`` and of ``y``, two aligned signals, outside the larger
+    of their two transient edges, so both slices cover the same instants."""
+    _require_aligned(x, y, "steady_pair")
     skip = max(x.transient, y.transient)
     if 2 * skip >= x.n:
         raise ValueError("no steady-state samples left for comparison")
@@ -269,7 +264,7 @@ def energy(s: ComplexSignal) -> float:
     return _sum_sq(s.samples) / s.sample_rate_hz
 
 
-def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
+def _raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     """Time-domain raised-cosine pulse, peak 1 at t=0, truncated to
     ``RC_SPAN_SYMBOLS`` symbol durations on each side."""
     if samples_per_symbol < 1:
@@ -288,17 +283,12 @@ def raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     return pulse
 
 
-_raised_cosine = raised_cosine_pulse
-
-
 @lru_cache(maxsize=64)
 def _pulse_rows(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     """The raised-cosine pulse as read-only complex128 rows of
     ``samples_per_symbol`` taps, zero-padded: row ``j`` holds taps
-    ``j*samples_per_symbol`` on.  Built through a private alias, so that a
-    tracer that counts ``raised_cosine_pulse`` calls counts the same
-    whatever ran earlier in the process."""
-    pulse = _raised_cosine(samples_per_symbol, rolloff)
+    ``j*samples_per_symbol`` on."""
+    pulse = _raised_cosine_pulse(samples_per_symbol, rolloff)
     rows = np.zeros((-(-pulse.size // samples_per_symbol), samples_per_symbol), dtype=np.complex128)
     rows.flat[: pulse.size] = pulse
     return _sealed(rows)

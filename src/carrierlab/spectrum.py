@@ -169,18 +169,6 @@ def occupied_extent(s: ComplexSignal) -> tuple[float, float] | None:
     return extent
 
 
-def occupied_bandwidth(s: ComplexSignal, *, f_center: float = 0.0) -> float:
-    """Two-sided occupied bandwidth: twice the largest ``|f| - f_center``
-    over the frequencies ``occupied_extent`` keeps.  The default measures
-    DC-centered content; ``f_center`` set to a carrier measures the bands
-    around +/- that carrier.  Zero for a signal without energy."""
-    extent = occupied_extent(s)
-    if extent is None:
-        return 0.0
-    lo, hi = extent
-    return 2.0 * max(hi - f_center, -lo - f_center, 0.0)
-
-
 def _mirror_pairs(sp: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Bins at (-f, +f) for f = k*resolution, k = 1..kmax."""
     center = sp.n // 2

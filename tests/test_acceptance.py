@@ -42,6 +42,7 @@ from carrierlab import (
     run_scenario,
     to_polarized,
 )
+from carrierlab.signals import steady_pair
 
 FS = 65536.0
 N = 65536
@@ -55,11 +56,6 @@ LPF = FilterSpec(cutoff_hz=0.75 * F_C, transition_hz=0.25 * F_C, stopband_atten_
 def _baseband(seed=42):
     msg = SymbolStream.random(Constellation.QPSK, N // SPS, seed)
     return generate_baseband(msg, SPS, "raised_cosine", rolloff=0.25, sample_rate_hz=FS)
-
-
-def _steady_pair(x, y):
-    skip = max(x.transient, y.transient)
-    return x.samples[skip : x.n - skip], y.samples[skip : y.n - skip]
 
 
 def _report(criterion, detail):
@@ -106,10 +102,10 @@ def test_criterion_3_real_carrier_demod_loss():
     recovered = real_demodulate(passband, -F_C, LPF)
     mirrored = real_demodulate(passband, +F_C, LPF)
 
-    rec, ref = _steady_pair(recovered, bb)
+    rec, ref = steady_pair(recovered, bb)
     peak_rel = float(np.max(np.abs(rec - ref / 2)) / np.max(np.abs(ref / 2)))
     energy_ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
-    a, b = _steady_pair(mirrored, recovered)
+    a, b = steady_pair(mirrored, recovered)
     conj_err = float(np.max(np.abs(a - np.conj(b))) / np.max(np.abs(b)))
 
     assert peak_rel < 1e-3
@@ -169,7 +165,7 @@ def test_criterion_6_dual_information_carriage():
     silent = ComplexSignal(np.zeros(N), FS)
     only_a = dual_modulate(DualMessage(stream_a, silent, GUARD), F_C)
     _, leak_branch = dual_demodulate(only_a, F_C, LPF)
-    leak, ref = _steady_pair(leak_branch, stream_a)
+    leak, ref = steady_pair(leak_branch, stream_a)
     leak_db = float(10 * np.log10(np.sum(np.abs(leak) ** 2) / np.sum(np.abs(ref) ** 2)))
 
     corr_dual = conj_mirror_correlation(dft_two_sided(dual))
@@ -210,8 +206,7 @@ def test_criterion_8_filter_contract():
     def gain_db(f):
         tone = oscillator(f, 16384, FS)
         out = apply_filter(tone, taps)
-        steady_out = out.steady()
-        steady_in = tone.samples[out.transient : out.n - out.transient]
+        steady_out, steady_in = steady_pair(out, tone)
         return float(
             10
             * np.log10(

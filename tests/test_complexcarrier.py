@@ -31,7 +31,7 @@ from carrierlab import (
     execute_scenario,
     generate_baseband,
     multiply,
-    occupied_bandwidth,
+    occupied_extent,
     oscillator,
     peak_frequency,
     real_demodulate,
@@ -254,11 +254,11 @@ def fft_calls(monkeypatch):
 class TestGuardMemo:
     def test_repeated_guards_on_one_signal_run_one_fft(self, fft_calls):
         s = _shaped_baseband(n_symbols=64, sps=16)
-        width = occupied_bandwidth(s)
+        extent = occupied_extent(s)
         band_move(s, 3000.0)
         band_move(s, -2000.0)
         band_move(s, 0.0)
-        assert occupied_bandwidth(s) == width
+        assert occupied_extent(s) == extent
         assert fft_calls == [s.n]
 
     def test_equal_samples_in_a_new_signal_run_a_new_fft(self, fft_calls):
@@ -279,7 +279,7 @@ class TestGuardMemo:
     def test_all_zero_signal_skips_the_guard(self, fft_calls):
         z = ComplexSignal(np.zeros(N), FS)
         assert not np.any(band_move(z, +20000.0).samples)
-        assert occupied_bandwidth(z) == 0.0
+        assert occupied_extent(z) is None
         assert fft_calls == []
 
     def test_memo_does_not_keep_the_signal_alive(self):
@@ -363,7 +363,7 @@ class TestDualModulate:
         assert np.max(np.abs(combined.samples - separate.samples)) < 1e-12
 
     def test_guard_violation_rejected(self):
-        a = _shaped_baseband(n_symbols=64, sps=16)  # width 5120 Hz at sps 16
+        a = _shaped_baseband(n_symbols=64, sps=16)  # occupies [-4672, 2368] Hz
         with pytest.raises(ValueError):
             dual_modulate(DualMessage(a, a, guard_hz=2048.0), 4096.0)
 
@@ -431,7 +431,8 @@ class TestIsolationRule:
     @pytest.mark.parametrize("f_c", [F_C, 24000.0], ids=["2fc-below-half-fs", "2fc-above-half-fs"])
     def test_stopband_edge_reaches_the_other_band_and_no_further(self, f_c, demodulate):
         passband = real_modulate(_shaped_baseband(n_symbols=64), f_c)
-        b = occupied_bandwidth(passband, f_center=f_c)
+        lo, hi = occupied_extent(passband)
+        b = 2.0 * max(hi - f_c, -lo - f_c)
         sep = min(2 * f_c, FS - 2 * f_c)
         transition = 512.0
         cutoff = sep - b / 2 - transition / 2
@@ -441,6 +442,52 @@ class TestIsolationRule:
         assert above + transition / 2 > sep - b / 2
         with pytest.raises(ValueError, match=f"cannot isolate one band .* {sep} Hz away"):
             demodulate(passband, f_c, FilterSpec(above, transition))
+
+
+class TestClearOfDc:
+    """Both modulators keep one rule: the band moved by f stays on f's side of
+    DC, guard_hz clear of it, and equality passes.  The DC-facing edge of the
+    band decides, not its larger side: this band occupies [-64, 320] Hz."""
+
+    @staticmethod
+    def _band():
+        return add(_tone(-64.0, n=1024), _tone(320.0, n=1024))
+
+    def test_band_extent(self):
+        assert occupied_extent(self._band()) == (-64.0, 320.0)
+
+    @pytest.mark.parametrize("f", [64.0, -320.0], ids=["positive", "negative"])
+    def test_real_modulate_accepts_the_edge_on_dc_and_no_further(self, f):
+        band = self._band()
+        real_modulate(band, f)
+        with pytest.raises(ValueError, match=r"baseband occupying \[-64.0, 320.0\] Hz does not fit a band"):
+            real_modulate(band, np.nextafter(f, 0.0))
+
+    @pytest.mark.parametrize("guard", [0.0, 128.0])
+    @pytest.mark.parametrize(
+        "stream, edge",
+        [pytest.param("stream_a", 320.0, id="a-negative"), pytest.param("stream_b", 64.0, id="b-positive")],
+    )
+    def test_dual_modulate_accepts_the_edge_at_the_guard_and_no_further(self, stream, edge, guard):
+        band = self._band()
+        silent = ComplexSignal(np.zeros(band.n), FS)
+        streams = (band, silent) if stream == "stream_a" else (silent, band)
+        f_c = edge + guard
+        dual_modulate(DualMessage(*streams, guard_hz=guard), f_c)
+        with pytest.raises(ValueError, match=f"{stream} occupying .* does not fit a band"):
+            dual_modulate(DualMessage(*streams, guard_hz=guard), np.nextafter(f_c, 0.0))
+        with pytest.raises(ValueError, match=f"{stream} occupying .* does not fit a band"):
+            dual_modulate(DualMessage(*streams, guard_hz=np.nextafter(guard, np.inf)), f_c)
+
+    def test_zero_shift_rejects_any_energy(self):
+        with pytest.raises(ValueError, match="does not fit a band at 0.0 Hz"):
+            real_modulate(_tone(0.0, n=1024), 0.0)
+
+    def test_signal_without_energy_is_never_rejected(self):
+        silent = ComplexSignal(np.zeros(1024), FS)
+        assert not np.any(real_modulate(silent, 0.0).samples)
+        dual = dual_modulate(DualMessage(silent, silent, guard_hz=1e9), 64.0)
+        assert not np.any(dual.samples)
 
 
 class TestEvm:

@@ -18,6 +18,7 @@ from carrierlab import (
     real_modulate,
     add,
 )
+from carrierlab.signals import steady_pair
 
 FS = 65536.0
 N = 65536
@@ -32,11 +33,6 @@ def _shaped_baseband(seed=42, n_symbols=1024, sps=64):
 
 def _constant(value, n=N):
     return ComplexSignal(np.full(n, value, dtype=np.complex128), FS)
-
-
-def _steady_pair(x, y):
-    skip = max(x.transient, y.transient)
-    return x.samples[skip : x.n - skip], y.samples[skip : y.n - skip]
 
 
 class TestRealModulate:
@@ -74,7 +70,8 @@ class TestRealModulate:
         assert conj_mirror_error(sp) < 1e-9
 
     def test_baseband_overlap_rejected(self):
-        # shaped bandwidth 1.25 * 1024 Hz exceeds a 1 kHz carrier
+        # the shaped baseband occupies [-1184, 592] Hz: moved by 1 kHz, its
+        # lower edge crosses DC
         bb = _shaped_baseband(n_symbols=64, sps=64)
         with pytest.raises(ValueError):
             real_modulate(bb, 1000.0)
@@ -90,7 +87,7 @@ class TestRealDemodulate:
         bb = _shaped_baseband()
         passband = real_modulate(bb, F_C)
         recovered = real_demodulate(passband, -F_C, LPF)
-        rec, ref = _steady_pair(recovered, bb)
+        rec, ref = steady_pair(recovered, bb)
         deviation = np.max(np.abs(rec - ref / 2)) / np.max(np.abs(ref / 2))
         assert deviation < 1e-3
 
@@ -99,7 +96,7 @@ class TestRealDemodulate:
         passband = real_modulate(bb, F_C)
         direct = real_demodulate(passband, -F_C, LPF)
         mirrored = real_demodulate(passband, +F_C, LPF)
-        a, b = _steady_pair(mirrored, direct)
+        a, b = steady_pair(mirrored, direct)
         err = np.max(np.abs(a - np.conj(b))) / np.max(np.abs(b))
         assert err < 1e-9
 
@@ -107,7 +104,7 @@ class TestRealDemodulate:
         bb = _shaped_baseband()
         passband = real_modulate(bb, F_C)
         recovered = real_demodulate(passband, -F_C, LPF)
-        rec, ref = _steady_pair(recovered, bb)
+        rec, ref = steady_pair(recovered, bb)
         ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
         assert 0.245 <= ratio <= 0.255
 
@@ -115,8 +112,8 @@ class TestRealDemodulate:
         bb = _constant(1.0, n=16384)
         passband = real_modulate(bb, F_C)
         recovered = real_demodulate(passband, -F_C, LPF)
-        np.testing.assert_allclose(recovered.steady(), 0.5, atol=1e-3)
-        rec, ref = _steady_pair(recovered, bb)
+        rec, ref = steady_pair(recovered, bb)
+        np.testing.assert_allclose(rec, 0.5, atol=1e-3)
         ratio = float(np.sum(np.abs(rec) ** 2) / np.sum(np.abs(ref) ** 2))
         assert ratio == pytest.approx(0.25, rel=0.02)
 

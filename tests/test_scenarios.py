@@ -267,6 +267,18 @@ class TestVerdictEnvelope:
                     ("fc-20000", dict(f_c_hz=20000.0)),
                 )
             ),
+            # the real chain at its widest baseband: moved to the carrier,
+            # the band's DC-facing edge stays on the carrier's side of DC
+            *(
+                pytest.param(scenario, dict(n_samples=1024, rolloff=1.0), set(), id=f"{scenario}-1024-rolloff-1")
+                for scenario in ("fig4", "fig5", "compare")
+            ),
+            # the largest guard both dual streams clear: stream B's lower
+            # edge, -912 Hz, moved to 8192 Hz lies 7280 Hz from DC
+            *(
+                pytest.param(scenario, dict(guard_hz=7280.0), set(), id=f"{scenario}-guard-7280")
+                for scenario in ("fig7", "fig10", "compare")
+            ),
             # a stopband from 15000 + 1000/2 Hz stays below the other band's
             # inner edge, 16384 Hz less half its width; at 4096 samples the
             # measured width of stream A alone is too coarse for that
@@ -289,6 +301,13 @@ class TestVerdictEnvelope:
         cfg = ScenarioConfig(scenario=scenario, n_samples=4096, f_c_hz=24000.0)
         cfg.validate()  # accepted; the demodulation rejects it
         with pytest.raises(ValueError, match="cannot isolate one band .* 17536.0 Hz away"):
+            execute_scenario(cfg)
+
+    @pytest.mark.parametrize("scenario", ["fig7", "fig10", "compare"])
+    def test_guard_past_a_streams_dc_facing_edge_is_rejected(self, scenario):
+        cfg = ScenarioConfig(scenario=scenario, n_samples=4096, guard_hz=7280.5)
+        cfg.validate()  # accepted; the modulation rejects it
+        with pytest.raises(ValueError, match=r"stream_b occupying \[-912.0, 944.0\] Hz does not fit a band"):
             execute_scenario(cfg)
 
     def test_carrier_at_a_quarter_of_the_rate_is_rejected(self, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from carrierlab import Constellation, FilterSpec, SymbolStream, design_lowpass, generate_baseband
 from carrierlab.filters import MAX_TAPS, _i0, kaiser_order
-from carrierlab.signals import raised_cosine_pulse
+from carrierlab.signals import _raised_cosine_pulse
 
 signal = pytest.importorskip("scipy.signal")
 special = pytest.importorskip("scipy.special")
@@ -48,7 +48,7 @@ def test_i0_is_cephes_i0():
 @pytest.mark.parametrize("rolloff", (0.0, 0.25, 0.5, 1.0))
 @pytest.mark.parametrize("sps", (1, 2, 3, 5, 16, 64))
 def test_raised_cosine_shaping_is_upfirdn(sps, rolloff):
-    pulse = raised_cosine_pulse(sps, rolloff)
+    pulse = _raised_cosine_pulse(sps, rolloff)
     delay = (pulse.size - 1) // 2
     for constellation in Constellation:
         for count in (1, 2, 7, 96):

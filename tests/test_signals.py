@@ -18,10 +18,10 @@ from carrierlab import (
     generate_baseband,
     multiply,
     oscillator,
-    raised_cosine_pulse,
     real_part,
     signals,
 )
+from carrierlab.signals import _raised_cosine_pulse, steady_pair
 
 FS = 4096.0
 
@@ -149,14 +149,41 @@ class TestComplexSignal:
         with pytest.raises(ValueError):
             held_by(values)
 
-    def test_steady_trims_both_edges(self):
-        s = ComplexSignal(np.arange(10, dtype=complex), FS, transient=2)
-        np.testing.assert_array_equal(s.steady(), np.arange(2, 8))
 
-    def test_steady_empty_raises(self):
+class TestSteadyPair:
+    def test_trims_both_edges(self):
+        s = ComplexSignal(np.arange(10, dtype=complex), FS, transient=2)
+        a, b = steady_pair(s, s)
+        np.testing.assert_array_equal(a, np.arange(2, 8))
+        np.testing.assert_array_equal(b, np.arange(2, 8))
+
+    def test_trims_both_by_the_larger_transient(self):
+        x = ComplexSignal(np.arange(10, dtype=complex), FS, transient=1)
+        y = ComplexSignal(-np.arange(10, dtype=complex), FS, transient=3)
+        a, b = steady_pair(x, y)
+        np.testing.assert_array_equal(a, np.arange(3, 7))
+        np.testing.assert_array_equal(b, -np.arange(3, 7))
+
+    def test_empty_raises(self):
         s = ComplexSignal(np.ones(4), FS, transient=2)
-        with pytest.raises(ValueError):
-            s.steady()
+        with pytest.raises(ValueError, match="no steady-state samples"):
+            steady_pair(s, s)
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            pytest.param(ComplexSignal(np.ones(4), FS), "equal lengths: 8 != 4", id="length"),
+            pytest.param(ComplexSignal(np.ones(8), FS / 2), "equal sample rates", id="rate"),
+        ],
+    )
+    def test_misaligned_signals_rejected(self, y, message):
+        # sliced each by its own length, 8 and 4 samples would come back as
+        # 8 and 4, and after a transient of 3 as 2 and 0
+        x = ComplexSignal(np.ones(8), FS)
+        with pytest.raises(ValueError, match=f"steady_pair requires {message}"):
+            steady_pair(x, y)
+        with pytest.raises(ValueError, match=f"steady_pair requires {message}"):
+            steady_pair(ComplexSignal(np.ones(8), FS, transient=3), y)
 
 
 class TestOscillator:
@@ -516,7 +543,7 @@ def _zero_stuffed(msg, sps, rolloff):
     """Raised-cosine shaping by its definition: the symbols, spaced ``sps``
     samples apart with zeros between them, convolved with the pulse and
     trimmed to the pulse's center."""
-    pulse = raised_cosine_pulse(sps, rolloff)
+    pulse = _raised_cosine_pulse(sps, rolloff)
     n_out = msg.symbols.size * sps
     upsampled = np.zeros(n_out, dtype=np.complex128)
     upsampled[::sps] = msg.symbols
@@ -527,7 +554,7 @@ def _zero_stuffed(msg, sps, rolloff):
 class TestRaisedCosinePulse:
     def test_peak_and_zero_crossings(self):
         sps = 8
-        pulse = raised_cosine_pulse(sps, 0.25)
+        pulse = _raised_cosine_pulse(sps, 0.25)
         center = (pulse.size - 1) // 2
         assert pulse[center] == pytest.approx(1.0, abs=1e-12)
         nonzero_offsets = pulse[center + sps :: sps]
@@ -535,11 +562,11 @@ class TestRaisedCosinePulse:
 
     def test_singularity_is_finite(self):
         # rolloff 0.25 puts the removable singularity exactly on the grid
-        pulse = raised_cosine_pulse(8, 0.25)
+        pulse = _raised_cosine_pulse(8, 0.25)
         assert np.all(np.isfinite(pulse))
 
     def test_zero_rolloff_is_sinc(self):
-        pulse = raised_cosine_pulse(4, 0.0)
+        pulse = _raised_cosine_pulse(4, 0.0)
         half = (pulse.size - 1) // 2
         t = np.arange(-half, half + 1) / 4
         np.testing.assert_array_equal(pulse, np.sinc(t))

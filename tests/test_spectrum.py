@@ -21,7 +21,6 @@ from carrierlab import (
     energy,
     generate_baseband,
     multiply,
-    occupied_bandwidth,
     occupied_extent,
     oscillator,
     peak_frequency,
@@ -218,15 +217,9 @@ class TestOccupied:
         s = add(_osc(-32.0), _osc(96.0))
         assert occupied_extent(s) == (-32.0, 96.0)
 
-    def test_bandwidth_of_tone(self):
-        assert occupied_bandwidth(_osc(48.0)) == 96.0
-
-    def test_bandwidth_of_silence_is_zero(self):
-        assert occupied_bandwidth(_signal(np.zeros(64))) == 0.0
-
-    def test_mirrored_tones_have_no_width_about_their_center(self):
+    def test_mirrored_tones_span_both_sides_of_dc(self):
         s = add(_osc(-96.0), _osc(96.0))
-        assert occupied_bandwidth(s, f_center=96.0) == 0.0
+        assert occupied_extent(s) == (-96.0, 96.0)
 
     def test_silence_occupies_no_band(self):
         assert occupied_extent(_signal(np.zeros(16))) is None
@@ -235,7 +228,6 @@ class TestOccupied:
         # every sample is nonzero, but every square underflows to zero
         s = ComplexSignal(np.full(16, 1e-200 + 0j), 16.0)
         assert occupied_extent(s) is None
-        assert occupied_bandwidth(s) == 0.0
         moved = complex_modulate(s, 4.0)
         assert moved.samples.tobytes() == multiply(s, oscillator(4.0, 16, 16.0)).samples.tobytes()
 
@@ -294,7 +286,6 @@ class TestGuardOracle:
         assert np.float64(sp.energy).tobytes() == np.float64(total).tobytes()
         if extent is None:
             assert occupied_extent(s) is None
-            assert occupied_bandwidth(s) == 0.0
         else:
             assert np.array(occupied_extent(s)).tobytes() == np.array(extent).tobytes()
             # band_report and peak_frequency index bins from n // 2; the
