@@ -2,7 +2,10 @@
 
 Each scenario builds a signal chain, dumps per-stage CSVs (all but
 ``compare``, whose stages fig4, fig5 and fig10 dump) and evaluates a fixed
-set of pass/fail checks at frozen tolerances.  Reports are plain text, one
+set of pass/fail checks at frozen tolerances.  No run writes an artifact
+that another artifact of the run and ``config.txt`` determine: fig5, fig9
+and polarization dump a stage's samples and not also their spectrum, which
+README.md's File schemas rebuild bit for bit.  Reports are plain text, one
 ``name: measured / threshold / pass|fail`` line per check, ending in a
 single ``verdict:`` line, so they diff and grep cleanly in CI.
 
@@ -31,7 +34,7 @@ from .complexcarrier import (
     dual_modulate,
     evm_db,
 )
-from .filters import FilterSpec, design_lowpass, kaiser_order
+from .filters import FilterSpec, apply_filter, design_lowpass, kaiser_order
 from .polarization import (
     ChannelConfig,
     Handedness,
@@ -326,7 +329,6 @@ def _build_fig5(cfg: ScenarioConfig):
     artifacts = {
         "spectrum_passband.csv": _spectrum(pb),
         "spectrum_mixed_prefilter.csv": _spectrum(mixed),
-        "spectrum_recovered.csv": _spectrum(recovered),
         "signal_recovered.csv": ("signal", recovered),
         "filter_taps.csv": ("taps", taps),
     }
@@ -389,7 +391,6 @@ def _build_fig9(cfg: ScenarioConfig):
     artifacts = {
         "spectrum_baseband.csv": _spectrum(bb),
         "spectrum_modulated.csv": _spectrum(moved_l),
-        "spectrum_demodulated.csv": _spectrum(back_l),
         "signal_demodulated.csv": ("signal", back_l),
     }
     return metrics, verdicts, artifacts
@@ -404,9 +405,11 @@ def _build_fig10(cfg: ScenarioConfig):
     evm_b = evm_db(rec_b, stream_b)
 
     # cross-stream leakage: transmit A alone, measure what lands in B's branch
+    # of the receiver just checked on the dual waveform, with its taps; a
+    # second isolation check would see stream A's lopsided extent alone
     silent = ComplexSignal(np.zeros(stream_b.n), cfg.sample_rate_hz)
     only_a = dual_modulate(DualMessage(stream_a, silent, cfg.guard_hz), cfg.f_c_hz)
-    _, leak_branch = dual_demodulate(only_a, cfg.f_c_hz, lpf)
+    leak_branch = apply_filter(complex_demodulate(only_a, cfg.f_c_hz), taps)
     leak, a_ref = steady_pair(leak_branch, stream_a)
     leak_db = float(10.0 * np.log10(_sum_sq(leak) / _sum_sq(a_ref)))
 
@@ -563,7 +566,6 @@ def _build_polarization(cfg: ScenarioConfig):
     ]
     artifacts = {
         "pair_transmitted_r.csv": ("pair", received["r"]),
-        "spectrum_received_r.csv": _spectrum(from_polarized(received["r"])),
         "spectrum_received_l.csv": _spectrum(from_polarized(received["l"])),
         "spectrum_received_linear.csv": _spectrum(from_polarized(received["linear"])),
     }

@@ -7,8 +7,10 @@ the same configuration produce byte-identical files.
 Every artifact kind is one entry of ``SCHEMAS``: a header and the columns it
 extracts from its object.  Writing, reading and comparing all go through
 that table.  No table writes a column that its other columns and the run's
-configuration determine (magnitude, bin energy, time); README.md gives the
-formulas that rebuild them.
+configuration determine (magnitude, bin energy, time), and no run writes an
+artifact that another artifact of the run and ``config.txt`` determine (the
+spectrum of a signal or pair it dumps); README.md gives the formulas that
+rebuild them.
 
 Reading checks the bytes (the header, at least one row, every line ended
 by ``\n``, no ``\r``, no blank line), then parses them with one

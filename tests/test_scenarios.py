@@ -14,7 +14,8 @@ import carrierlab
 from carrierlab import ScenarioConfig, SCENARIOS, execute_scenario, run_scenario, verify_run
 from carrierlab.cli import main
 from carrierlab.scenarios import MAX_SAMPLES, parse_config_text
-from carrierlab import scenarios, signals, sigio
+from carrierlab import polarization, scenarios, signals, sigio
+from carrierlab.spectrum import dft_two_sided
 
 # desk-scale configuration: same structure as the defaults, 8x smaller
 SMALL = dict(
@@ -280,13 +281,30 @@ class TestVerdictEnvelope:
                 for scenario in ("fig7", "fig10", "compare")
             ),
             # a stopband from 15000 + 1000/2 Hz stays below the other band's
-            # inner edge, 16384 Hz less half its width; at 4096 samples the
-            # measured width of stream A alone is too coarse for that
-            pytest.param(
-                "fig10",
-                dict(n_samples=65536, cutoff_hz=15000.0, transition_hz=1000.0),
-                set(),
-                id="fig10-65536-cutoff-15000-transition-1000",
+            # inner edge, 16384 Hz less half the dual waveform's width; the
+            # leak branch reuses that receiver, so stream A's lopsided extent
+            # alone (2368 Hz wide at 4096 samples) is never checked
+            *(
+                pytest.param(
+                    "fig10",
+                    dict(n_samples=n, cutoff_hz=15000.0, transition_hz=1000.0),
+                    set(),
+                    id=f"fig10-{n}-cutoff-15000-transition-1000",
+                )
+                for n in (4096, 65536)
+            ),
+            # a circular tone's band holds (1 + s^2)/(1 + 2 s^2) of the energy
+            # under noise s per component and (1 - c)^2/((1 - c)^2 + c^2)
+            # under crosstalk c: above the 0.9 threshold up to s = sqrt(1/8)
+            # and c = 1/4
+            *(
+                pytest.param("polarization", {axis: value}, failing, id=f"polarization-{axis}-{value}")
+                for axis, value, failing in (
+                    ("noise_sigma", 0.34, set()),
+                    ("noise_sigma", 0.37, {"handedness_r", "handedness_l"}),
+                    ("crosstalk", 0.24, set()),
+                    ("crosstalk", 0.26, {"handedness_r", "handedness_l"}),
+                )
             ),
         ],
     )
@@ -343,26 +361,26 @@ class TestVerifyRun:
         assert not ok
         assert any("schema" in m for m in messages)
 
-    # fig9's report.txt: scenario, digest, five artifacts, three energies
-    # (lines 8-10), three checks (lines 11-13) and the verdict line
+    # fig9's report.txt: scenario, digest, four artifacts, three energies
+    # (lines 7-9), three checks (lines 10-12) and the verdict line
     @pytest.mark.parametrize(
         "name, pattern, replacement, expected",
         [
             pytest.param(
                 "report.txt", r"^round_trip_max_err_l: \S+", "round_trip_max_err_l: 0.5",
-                "report.txt line 11: stored 'round_trip_max_err_l: 0.5 / < 1e-12 / pass'", id="measured",
+                "report.txt line 10: stored 'round_trip_max_err_l: 0.5 / < 1e-12 / pass'", id="measured",
             ),
             pytest.param(
                 "report.txt", r"^energy\.modulated: .*", "energy.modulated: 0.5",
-                "report.txt line 9: stored 'energy.modulated: 0.5'", id="metric",
+                "report.txt line 8: stored 'energy.modulated: 0.5'", id="metric",
             ),
             pytest.param(
                 "report.txt", r"^energy\.modulated: ", "energy.modulated: +",
-                "report.txt line 9: stored 'energy.modulated: +", id="respelled",
+                "report.txt line 8: stored 'energy.modulated: +", id="respelled",
             ),
             pytest.param(
                 "report.txt", r"< 1e-12", "< 1000.0",
-                "report.txt line 11: stored 'round_trip_max_err_l: ", id="threshold",
+                "report.txt line 10: stored 'round_trip_max_err_l: ", id="threshold",
             ),
             pytest.param(
                 "report.txt", r"^scenario: fig9", "scenario: fig6",
@@ -370,15 +388,15 @@ class TestVerifyRun:
             ),
             pytest.param(
                 "report.txt", r"^energy\.demodulated: .*\n", "",
-                "report.txt line 10: stored 'round_trip_max_err_l: ", id="deleted",
+                "report.txt line 9: stored 'round_trip_max_err_l: ", id="deleted",
             ),
             pytest.param(
                 "report.txt", r"\Z", "energy.extra: 1.0\n",
-                "report.txt line 15: stored 'energy.extra: 1.0', recomputed nothing", id="appended",
+                "report.txt line 14: stored 'energy.extra: 1.0', recomputed nothing", id="appended",
             ),
             pytest.param(
                 "report.txt", r"^(energy\.baseband: .*)\n(energy\.modulated: .*)", r"\2\n\1",
-                "report.txt line 8: stored 'energy.modulated: ", id="swapped",
+                "report.txt line 7: stored 'energy.modulated: ", id="swapped",
             ),
             pytest.param(
                 "config.txt", r"\Z", "# edited\n",
@@ -402,7 +420,7 @@ class TestVerifyRun:
             f.write(b"\xff\n")
         ok, messages = verify_run(fig9_run)
         assert not ok
-        assert "report.txt line 15: stored '\ufffd', recomputed nothing" in messages
+        assert "report.txt line 14: stored '\ufffd', recomputed nothing" in messages
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -498,14 +516,13 @@ class TestVerifyRun:
 
     def test_files_a_fresh_run_does_not_write_are_named(self, tmp_path, capsys):
         # fig6 writes fig9's spectrum_baseband.csv and spectrum_modulated.csv
-        # over them, its own report and config, and leaves fig9's other two
+        # over them, its own report and config, and leaves fig9's signal dump
         for scenario in ("fig9", "fig6"):
             run_scenario(ScenarioConfig(scenario=scenario, n_samples=4096), tmp_path)
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
         assert printed == [
             "undeclared file: signal_demodulated.csv",
-            "undeclared file: spectrum_demodulated.csv",
             "verify: fail",
         ]
 
@@ -611,8 +628,8 @@ class TestVerifyIsExact:
         path.write_text(text.replace(line[0], stored))
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
-        # fig9's report: the three energies are lines 8-10
-        assert printed == [f"report.txt line 9: stored {stored!r}, recomputed {line[0]!r}", "verify: fail"]
+        # fig9's report: the three energies are lines 7-9
+        assert printed == [f"report.txt line 8: stored {stored!r}, recomputed {line[0]!r}", "verify: fail"]
 
     @pytest.mark.parametrize(
         "name, edit, expected",
@@ -657,7 +674,7 @@ class TestVerifyIsExact:
         "scenario, name, pattern, replacement, expected",
         [
             pytest.param(
-                "polarization", "spectrum_received_r.csv", r"^0\.0,", "-0.0,",
+                "polarization", "spectrum_received_l.csv", r"^0\.0,", "-0.0,",
                 "row 2049 column freq_hz: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
                 "only in the sign of zero",
                 id="polarization-dc-frequency",
@@ -748,19 +765,25 @@ class TestVerifyIsExact:
                 assert done.returncode == 0, (scenario, args[0], done.stdout, done.stderr)
 
 
+def _recipe_dft(re_: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """README's rebuild of a dropped spectrum's bins from a dump's two value
+    columns."""
+    return np.fft.fftshift(np.fft.fft(re_ + 1j * im))
+
+
 class TestDroppedColumns:
     """The README's formulas rebuild the columns that artifacts no longer
-    write from a dump and the run's config.txt, bit for bit."""
+    write, and the spectra that runs no longer write, from a dump and the
+    run's config.txt, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            pytest.param({}, id="65536Hz"),
-            pytest.param(
-                dict(sample_rate_hz=48000.0, symbol_rate_hz=750.0, f_c_hz=6000.0, guard_hz=375.0), id="48000Hz"
-            ),
-        ],
-    )
+    RATES = [
+        pytest.param({}, id="65536Hz"),
+        pytest.param(
+            dict(sample_rate_hz=48000.0, symbol_rate_hz=750.0, f_c_hz=6000.0, guard_hz=375.0), id="48000Hz"
+        ),
+    ]
+
+    @pytest.mark.parametrize("overrides", RATES)
     def test_rebuilt_bitwise(self, tmp_path, overrides):
         cfg = ScenarioConfig(scenario="fig9", n_samples=4096, **overrides)
         run_scenario(cfg, tmp_path)
@@ -779,3 +802,43 @@ class TestDroppedColumns:
                 cols = sigio.read_signal_csv(tmp_path / name)
                 time_axis = np.arange(data.n) / data.sample_rate_hz
                 assert (cols["index"] / sample_rate_hz).tobytes() == time_axis.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "scenario, dump, stage",
+        [
+            pytest.param("fig5", "signal_recovered.csv", lambda s: s, id="fig5-spectrum_recovered"),
+            pytest.param("fig9", "signal_demodulated.csv", lambda s: s, id="fig9-spectrum_demodulated"),
+            pytest.param(
+                "polarization",
+                "pair_transmitted_r.csv",
+                polarization.from_polarized,
+                id="polarization-spectrum_received_r",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("overrides", RATES)
+    def test_dropped_spectrum_rebuilt_bitwise(self, tmp_path, scenario, dump, stage, overrides):
+        cfg = ScenarioConfig(scenario=scenario, n_samples=4096, **overrides)
+        run_scenario(cfg, tmp_path)
+        stored = parse_config_text((tmp_path / "config.txt").read_text())
+        n, fs = int(stored["n_samples"]), float(stored["sample_rate_hz"])
+        kind, data = execute_scenario(cfg)[1][dump]
+        _, re_, im = getattr(sigio, f"read_{kind}_csv")(tmp_path / dump).values()
+        bins = _recipe_dft(re_, im)
+        rebuilt = {"freq_hz": (np.arange(n) - n // 2) * (fs / n), "re": bins.real, "im": bins.imag}
+        # the table the spectrum artifact held for this stage before it was dropped
+        for column, values in sigio.columns("spectrum", dft_two_sided(stage(data))).items():
+            assert rebuilt[column].tobytes() == values.tobytes(), column
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_no_spectrum_is_the_dft_of_a_dump(self, scenario):
+        _, artifacts = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096))
+        tables = {name: list(sigio.columns(kind, data).values()) for name, (kind, data) in artifacts.items()}
+        spectra = {name: tables[name] for name, (kind, _) in artifacts.items() if kind == "spectrum"}
+        for dump, (kind, _) in artifacts.items():
+            if kind not in ("signal", "pair"):
+                continue
+            rebuilt = _recipe_dft(*tables[dump][1:])
+            for name, (_, re_, im) in spectra.items():
+                stored = (re_.tobytes(), im.tobytes())
+                assert (rebuilt.real.tobytes(), rebuilt.imag.tobytes()) != stored, f"{name} is the DFT of {dump}"
