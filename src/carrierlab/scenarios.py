@@ -457,7 +457,8 @@ def _build_group_laws(cfg: ScenarioConfig):
         max_ident = max(max_ident, _max_diff(band_move(s, 0.0), s))
         max_inv = max(max_inv, _max_diff(band_move(moved, -f1), s))
 
-    peak = peak_frequency(dft_two_sided(flipped))
+    sp_flipped = dft_two_sided(flipped)
+    peak = peak_frequency(sp_flipped)
 
     metrics = {"trials": float(GROUP_LAW_TRIALS)}
     verdicts = [
@@ -474,7 +475,7 @@ def _build_group_laws(cfg: ScenarioConfig):
     ]
     artifacts = {
         "spectrum_tone_before.csv": _spectrum(tone),
-        "spectrum_tone_after.csv": _spectrum(flipped),
+        "spectrum_tone_after.csv": ("spectrum", sp_flipped),
     }
     return metrics, verdicts, artifacts
 

@@ -4,7 +4,9 @@ The negative half of the axis is the L-band (left/clockwise-rotating
 content), the positive half the R-band; the f = 0 bin is reported
 separately as DC.  Bin energies are normalized as ``|X_m|^2 / (N * fs)`` so
 that spectral energy and the time-domain energy ``sum(|x|^2)/fs`` agree
-(Parseval) without per-module fudge factors.
+(Parseval) without per-module fudge factors.  Every transform, the band
+guard's included, is one checked step: ``dft_two_sided`` wraps its bins in
+a ``Spectrum``, and ``occupied_extent`` trims its bin energies directly.
 """
 
 from __future__ import annotations
@@ -58,11 +60,15 @@ class Spectrum:
         return self.resolution_hz * self.n
 
     def bin_energies(self) -> np.ndarray:
-        b = self.bins
-        energies = b.real**2
-        energies += b.imag**2
-        energies /= self.n * self.sample_rate_hz
-        return energies
+        return _bin_energies(self.bins, self.sample_rate_hz)
+
+
+def _bin_energies(bins: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """``|X_m|^2 / (N * fs)`` per bin."""
+    energies = bins.real**2
+    energies += bins.imag**2
+    energies /= bins.size * sample_rate_hz
+    return energies
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,10 @@ class BandEnergyReport:
     r_fraction: float
 
 
-def dft_two_sided(s: ComplexSignal) -> Spectrum:
-    """DFT with the axis centered so negative frequencies precede positive,
-    checked against the signal's energy ``sum(|x|^2)/fs`` (Parseval)."""
+def _checked_transform(s: ComplexSignal) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one transform of the module: the fftshifted DFT bins of ``s``,
+    their energies ``|X_m|^2 / (N * fs)`` and the energies' sum, checked
+    against the signal's energy ``sum(|x|^2)/fs`` (Parseval)."""
     if s.n < 2:
         raise ValueError("spectral analysis needs at least 2 samples")
     spectrum = np.fft.fft(s.samples)
@@ -89,12 +96,25 @@ def dft_two_sided(s: ComplexSignal) -> Spectrum:
     bins = np.concatenate((spectrum[h:], spectrum[:h]))
     with np.errstate(over="ignore"):
         source = _sum_sq(s.samples) / s.sample_rate_hz
-    if not np.isfinite(source):
-        raise ValueError("signal energy overflows double precision")
-    sp = Spectrum(_sealed(bins), s.sample_rate_hz / s.n)
-    if source > 0 and abs(sp.energy - source) > 1e-9 * source:
+        if not np.isfinite(source):
+            raise ValueError("signal energy overflows double precision")
+        # Spectrum's checks, at the rate it derives: the resolution times n
+        resolution = s.sample_rate_hz / s.n
+        if not resolution > 0:  # fs/n underflows for a subnormal fs
+            raise ValueError("resolution_hz must be positive and finite")
+        energies = _bin_energies(bins, resolution * s.n)
+        total = float(energies.sum())
+    if not np.isfinite(total):
+        raise ValueError("spectral bins are NaN/Inf or their energy overflows double precision")
+    if source > 0 and abs(total - source) > 1e-9 * source:
         raise ValueError("spectral energy does not match the signal's (Parseval violated)")
-    return sp
+    return bins, energies, total
+
+
+def dft_two_sided(s: ComplexSignal) -> Spectrum:
+    """DFT with the axis centered so negative frequencies precede positive,
+    checked against the signal's energy ``sum(|x|^2)/fs`` (Parseval)."""
+    return Spectrum(_sealed(_checked_transform(s)[0]), s.sample_rate_hz / s.n)
 
 
 def band_report(sp: Spectrum) -> BandEnergyReport:
@@ -129,23 +149,26 @@ def peak_frequency(sp: Spectrum) -> float:
 OCCUPIED_FRACTION = 0.999
 
 
-def _occupied_range(sp: Spectrum) -> tuple[float, float] | None:
+def _occupied_range(s: ComplexSignal) -> tuple[float, float] | None:
     """Trims up to ``(1 - OCCUPIED_FRACTION)/2`` of the total energy from
-    each tail and returns the (lowest, highest) surviving bin frequencies;
-    None when the spectrum holds no energy."""
-    if sp.energy == 0.0:
+    each tail of the checked transform's bin energies and returns the
+    (lowest, highest) surviving bin frequencies; None when they sum to 0."""
+    _, energies, total = _checked_transform(s)
+    if total == 0.0:
         return None
-    energies = sp.bin_energies()
-    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * sp.energy
-    fwd = np.cumsum(energies)
-    lo = int(np.searchsorted(fwd, tail, side="right"))
-    rev = np.cumsum(energies[::-1])
-    hi = sp.n - 1 - int(np.searchsorted(rev, tail, side="right"))
+    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * total
+    # array methods, not their np.* wrappers, whose dispatch costs about a
+    # microsecond a call, a few percent of a guard at 4096 samples
+    lo = int(energies.cumsum().searchsorted(tail, side="right"))
+    # the reverse running sum over the bins from lo up only: when it never
+    # passes the tail, hi = lo - 1, as over all bins, and the peak decides
+    hi = s.n - 1 - int(energies[lo:][::-1].cumsum().searchsorted(tail, side="right"))
     if lo > hi:
-        lo = hi = int(np.argmax(energies))
+        lo = hi = int(energies.argmax())
     # the entries of freq_axis_hz at lo and hi, without building the axis
-    center = sp.n // 2
-    return float((lo - center) * sp.resolution_hz), float((hi - center) * sp.resolution_hz)
+    center = s.n // 2
+    resolution = s.sample_rate_hz / s.n
+    return float((lo - center) * resolution), float((hi - center) * resolution)
 
 
 #: ``(lo, hi)`` per signal, or ``None`` for one without energy.  Signals are
@@ -161,11 +184,13 @@ def occupied_extent(s: ComplexSignal) -> tuple[float, float] | None:
     worked out once per signal.
 
     This is the bandwidth guard every chain checks its preconditions with.
+    It runs the transform ``dft_two_sided`` runs, with the same checks and
+    errors, but trims the bin energies without building a ``Spectrum``.
     """
     extent = _EXTENTS.get(s, ())  # () marks a miss: an extent is a pair or None
     if extent == ():
-        # silence skips the DFT, which needs two samples, for the same None
-        extent = _EXTENTS[s] = _occupied_range(dft_two_sided(s)) if np.any(s.samples) else None
+        # silence skips the transform, which needs two samples, for the same None
+        extent = _EXTENTS[s] = _occupied_range(s) if s.samples.any() else None
     return extent
 
 

@@ -294,8 +294,9 @@ class TestGuardMemo:
         report, _ = execute_scenario(ScenarioConfig(scenario="group_laws", n_samples=4096))
         assert report.passed
         # per trial: s, band_move(s, f1) and band_move(s, f2); then the tone's
-        # guard, its peak and the two spectrum artifacts
-        assert fft_calls == [4096] * (3 * GROUP_LAW_TRIALS + 4)
+        # guard, the flipped tone's spectrum (its peak and its artifact) and
+        # the tone's spectrum artifact
+        assert fft_calls == [4096] * (3 * GROUP_LAW_TRIALS + 3)
 
 
 class TestDualMessage:

@@ -1,10 +1,11 @@
 """Tests for the two-sided spectrum analyzer and band accounting."""
 
+import os
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +14,7 @@ from carrierlab import (
     Constellation,
     SymbolStream,
     add,
+    band_move,
     band_report,
     complex_modulate,
     conj_mirror_correlation,
@@ -26,6 +28,7 @@ from carrierlab import (
     peak_frequency,
     real_part,
 )
+from carrierlab import spectrum
 from carrierlab.spectrum import OCCUPIED_FRACTION
 
 FS = 1024.0
@@ -103,6 +106,24 @@ class TestDftTwoSided:
         # the signal's own energy is checked before it is compared with the bins'
         with pytest.raises(ValueError, match="signal energy overflows double precision"):
             dft_two_sided(_signal([1e200, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            # |X|^2 overflows at DC (4096 * 1e152, squared), sum(|x|^2) does not
+            (_signal(np.full(4096, 1e152)), "spectral bins are NaN/Inf or their energy overflows double precision"),
+            (_signal(np.full(4096, 1e200)), "signal energy overflows double precision"),
+            # a subnormal rate over 4 samples rounds to a resolution of 0
+            (ComplexSignal(np.full(4, 1e-200 + 0j), 5e-324), "resolution_hz must be positive and finite"),
+        ],
+        ids=["bins-overflow", "signal-overflows", "zero-resolution"],
+    )
+    def test_guard_raises_what_the_transform_raises(self, s, message):
+        with pytest.raises(ValueError) as transform:
+            dft_two_sided(s)
+        with pytest.raises(ValueError) as guard:
+            band_move(s, 8.0)
+        assert str(guard.value) == str(transform.value) == message
 
 
 class TestParseval:
@@ -232,25 +253,113 @@ class TestOccupied:
         assert moved.samples.tobytes() == multiply(s, oscillator(4.0, 16, 16.0)).samples.tobytes()
 
 
+@st.composite
+def _guard_cases(draw):
+    """A signal of 2 to 4096 samples at 48000 or 65536 Hz: white noise, one
+    bin, a flat spectrum (an impulse) or a band against -fs/2 or +fs/2,
+    scaled from where every square underflows to where the bins' or the
+    samples' squares overflow, sometimes over a floor whose squares
+    underflow; and the occupied fraction to trim to.  A fraction of 0 trims
+    half the energy from each tail, so that the tails of a flat spectrum
+    cross (``lo > hi``), which the library's fraction never lets them do."""
+    n = draw(st.integers(min_value=2, max_value=4096))
+    fs = draw(st.sampled_from([48000.0, 65536.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "bin", "flat", "edge"]))
+    if kind == "noise":
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    elif kind == "bin":
+        x = np.exp(2j * np.pi * draw(st.integers(min_value=0, max_value=n - 1)) * np.arange(n) / n)
+    elif kind == "flat":
+        x = np.zeros(n, dtype=np.complex128)
+        x[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    else:
+        # a run of bins from the first (-fs/2) or up to the last (toward +fs/2)
+        width = draw(st.integers(min_value=1, max_value=n))
+        shifted = np.zeros(n, dtype=np.complex128)
+        band = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        if draw(st.booleans()):
+            shifted[:width] = band
+        else:
+            shifted[n - width :] = band
+        x = np.fft.ifft(np.fft.ifftshift(shifted))
+    # unit scale half the time; the edges drawn apart: squares that
+    # underflow, and squares of bins (1e152) or of samples (1e200) that overflow
+    edges = st.integers(min_value=-200, max_value=160) | st.sampled_from([-165, -160, 152, 200])
+    x = x * 10.0 ** draw(st.just(0) | edges)
+    if draw(st.booleans()):
+        x = x + 1e-170 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    fraction = draw(st.sampled_from([OCCUPIED_FRACTION, 0.0]))
+    return ComplexSignal(x, fs), fraction
+
+
+#: CARRIERLAB_FUZZ_EXAMPLES=N draws N guard cases instead of the suite's 200
+_GUARD_EXAMPLES = int(os.environ.get("CARRIERLAB_FUZZ_EXAMPLES") or 200)
+
+
+@settings(max_examples=_GUARD_EXAMPLES, deadline=None)
+@given(case=_guard_cases())
+def test_guard_extent_is_the_reference_trim(case):
+    s, fraction = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "OCCUPIED_FRACTION", fraction)
+        try:
+            sp = dft_two_sided(s)
+        except ValueError as transform:
+            with pytest.raises(ValueError) as guard:
+                occupied_extent(s)
+            assert str(guard.value) == str(transform)
+            event("the transform rejects the signal")
+            return
+        reference, crossed = _reference_trim(sp.bin_energies(), sp.energy, sp.resolution_hz, fraction)
+        event(f"lo > hi: {crossed}, no band: {reference is None}")
+        # repr tells every double apart, -0.0 from 0.0 included
+        assert repr(occupied_extent(s)) == repr(reference)
+
+
+@pytest.mark.parametrize("n", [4, 64, 4096])
+def test_crossed_tails_leave_the_peak_bin(n):
+    # a unit impulse at t = 0 has every bin exactly 1; trimmed to nothing,
+    # the tails of an even n cross and the first bin, at -fs/2, decides
+    s = _signal(np.eye(1, n)[0], fs=65536.0)
+    sp = dft_two_sided(s)
+    reference, crossed = _reference_trim(sp.bin_energies(), sp.energy, sp.resolution_hz, 0.0)
+    assert crossed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "OCCUPIED_FRACTION", 0.0)
+        assert occupied_extent(s) == reference == (-32768.0, -32768.0)
+
+
+def _reference_trim(energies, total, resolution, fraction):
+    """The guard's trim as it was first written, with both running sums
+    over every bin: the (lowest, highest) frequencies left after up to
+    ``(1 - fraction)/2`` of ``total`` goes from each tail, read off
+    ``freq_axis_hz``'s ``(arange(n) - n // 2) * resolution``, or None when
+    ``total`` is 0; and whether the tails crossed (``lo > hi``), leaving the
+    peak bin."""
+    if total <= 0.0:
+        return None, False
+    n = energies.size
+    tail = (1.0 - fraction) / 2.0 * total
+    lo = int(np.searchsorted(np.cumsum(energies), tail, side="right"))
+    hi = n - 1 - int(np.searchsorted(np.cumsum(energies[::-1]), tail, side="right"))
+    crossed = lo > hi
+    if crossed:
+        lo = hi = int(np.argmax(energies))
+    freqs = (np.arange(n) - n // 2) * resolution
+    return (float(freqs[lo]), float(freqs[hi])), crossed
+
+
 def _guard_oracle(s):
     """Bins, bin energies, their total and occupied range by the plain formulas: fftshift
     of the FFT, ``(re**2 + im**2) / (n * fs)`` with the rate rebuilt from the
-    resolution as ``Spectrum.sample_rate_hz`` does, and the trimmed tails'
-    edges read off ``freq_axis_hz``'s ``(arange(n) - n // 2) * resolution``."""
+    resolution as ``Spectrum.sample_rate_hz`` does, and the reference trim."""
     n = s.n
     resolution = s.sample_rate_hz / n
     bins = np.fft.fftshift(np.fft.fft(s.samples))
     energies = (bins.real**2 + bins.imag**2) / (n * (resolution * n))
     total = float(np.sum(energies))
-    if total <= 0.0:
-        return bins, energies, total, None
-    tail = (1.0 - OCCUPIED_FRACTION) / 2.0 * total
-    lo = int(np.searchsorted(np.cumsum(energies), tail, side="right"))
-    hi = n - 1 - int(np.searchsorted(np.cumsum(energies[::-1]), tail, side="right"))
-    if lo > hi:
-        lo = hi = int(np.argmax(energies))
-    freqs = (np.arange(n) - n // 2) * resolution
-    return bins, energies, total, (float(freqs[lo]), float(freqs[hi]))
+    return bins, energies, total, _reference_trim(energies, total, resolution, OCCUPIED_FRACTION)[0]
 
 
 def _guard_corpus():
