@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +18,7 @@ from .scenarios import (
 )
 
 
+@functools.cache  # built once per process; each parse_args starts from a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carrierlab",

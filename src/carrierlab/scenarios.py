@@ -15,10 +15,12 @@ byte-identical artifacts and report on repeat runs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -46,6 +48,7 @@ from .polarization import (
 )
 from .realcarrier import real_demodulate, real_modulate
 from . import sigio
+from ._split import split
 from .sigio import fmt
 from .signals import (
     ComplexSignal,
@@ -434,6 +437,21 @@ def _build_fig10(cfg: ScenarioConfig):
 GROUP_LAW_TRIALS = 100
 
 
+def _group_law_trial(cfg: ScenarioConfig, seed: int, f1: float, f2: float) -> tuple[float, ...]:
+    """One trial's additivity, commutativity, identity and inverse errors.
+    Integer-Hz shifts stay exactly on the sampling grid, keeping both
+    composition orders bit-comparable in double precision."""
+    s = _make_baseband(cfg, seed)
+    moved = band_move(s, f1)
+    via = band_move(moved, f2)
+    return (
+        _max_diff(via, band_move(s, f1 + f2)),
+        _max_diff(via, band_move(band_move(s, f2), f1)),
+        _max_diff(band_move(s, 0.0), s),
+        _max_diff(band_move(moved, -f1), s),
+    )
+
+
 def _build_group_laws(cfg: ScenarioConfig):
     # the sign flip first: its 2*f0 shift is the one a valid config can still
     # fail (at a rate of 4*f0), and it draws nothing from the trials' RNG
@@ -443,19 +461,14 @@ def _build_group_laws(cfg: ScenarioConfig):
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     f_cap = int(cfg.sample_rate_hz // 8)
-    max_add = max_comm = max_ident = max_inv = 0.0
-    for _ in range(GROUP_LAW_TRIALS):
-        s = _make_baseband(cfg, int(rng.integers(0, 2**63)))
-        # integer-Hz shifts stay exactly on the sampling grid, keeping both
-        # composition orders bit-comparable in double precision
+    trials = []
+    for _ in range(GROUP_LAW_TRIALS):  # each trial's seed, f1 and f2, all drawn before any trial runs
+        seed = int(rng.integers(0, 2**63))
         f1 = float(rng.integers(-f_cap, f_cap + 1))
         f2 = float(rng.integers(-f_cap, f_cap + 1))
-        moved = band_move(s, f1)
-        via = band_move(moved, f2)
-        max_add = max(max_add, _max_diff(via, band_move(s, f1 + f2)))
-        max_comm = max(max_comm, _max_diff(via, band_move(band_move(s, f2), f1)))
-        max_ident = max(max_ident, _max_diff(band_move(s, 0.0), s))
-        max_inv = max(max_inv, _max_diff(band_move(moved, -f1), s))
+        trials.append(partial(_group_law_trial, cfg, seed, f1, f2))
+    errors = split(trials, [1.0] * GROUP_LAW_TRIALS)
+    max_add, max_comm, max_ident, max_inv = (max(0.0, *column) for column in zip(*errors))
 
     sp_flipped = dft_two_sided(flipped)
     peak = peak_frequency(sp_flipped)
@@ -606,35 +619,45 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[st
     return report, artifacts
 
 
+def _rows(artifacts: dict[str, tuple[str, Any]]) -> list[float]:
+    """Each artifact's row count: the weight of formatting or parsing it."""
+    return [len(sigio.SCHEMAS[kind].columns(data)[0]) for kind, data in artifacts.values()]
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     """Run a scenario and write config.txt, its artifacts and report.txt to
-    ``out_dir``.
+    ``out_dir``, the artifacts split over two CPUs where ``_split`` can.
 
-    An ``OSError`` while writing removes every file this call opened before
-    it propagates, so a failed run leaves no partial run behind.
+    An ``OSError`` while writing, in either process, removes every file
+    this call opened or handed to the helper before it propagates, so a
+    failed run leaves no partial run behind.
     """
     report, artifacts = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written: set[Path] = set()
 
     def write(name: str, text: str) -> None:
         with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
-            written.append(out / name)
+            written.add(out / name)
             fh.write(text)
+
+    def write_artifact(name: str, kind: str, data: Any) -> None:
+        # formatted just before it is written, so that a process holds one
+        # file's text at a time; the writer is looked up on the module at
+        # each call, so that wrappers installed there for profiling see it
+        write(name, getattr(sigio, f"{kind}_csv_text")(data))
 
     try:
         write("config.txt", cfg.to_text())
-        # each artifact is formatted just before it is written, so that only
-        # one file's text is held at a time; the writer is looked up on the
-        # module at each call, so that wrappers installed there for
-        # profiling see every write
-        for name, (kind, data) in artifacts.items():
-            write(name, getattr(sigio, f"{kind}_csv_text")(data))
+        # every artifact is listed first: the helper's opens are not seen here
+        written.update(out / name for name in artifacts)
+        split([partial(write_artifact, name, *entry) for name, entry in artifacts.items()], _rows(artifacts))
         write("report.txt", report.to_text())
     except OSError:
         for path in written:
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # e.g. a directory in an artifact's place
+                path.unlink()
         raise
     return report
 
@@ -739,14 +762,16 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         divergence = _text_divergence(stored[name], text)
         if divergence is not None:
             messages.append(f"{name} {divergence}")
-    for name, (kind, data) in artifacts.items():
+
+    def check(name: str, kind: str, data: Any) -> str | None:
         parsed, fault = _load(out, name, getattr(sigio, f"read_{kind}_csv"))  # on the module, as in run_scenario
         if fault is not None:
-            messages.append(fault)
-            continue
+            return fault
         divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
-        if divergence is not None:
-            messages.append(f"artifact {name} {divergence}")
+        return None if divergence is None else f"artifact {name} {divergence}"
+
+    checks = split([partial(check, name, *entry) for name, entry in artifacts.items()], _rows(artifacts))
+    messages.extend(message for message in checks if message is not None)
     written = {"report.txt", *fresh.artifacts}
     undeclared = sorted(p.name for p in out.iterdir() if p.name not in written)
     messages.extend(f"undeclared file: {name}" for name in undeclared)

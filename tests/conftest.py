@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from carrierlab import _split
 
 settings.register_profile(
     "carrierlab",
@@ -7,3 +10,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("carrierlab")
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The process may use one CPU, so ``carrierlab._split`` forks no helper
+    and every task runs in the test's own process."""
+    monkeypatch.setattr(_split, "_cpus", lambda: 1)

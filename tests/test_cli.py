@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carrierlab
-from carrierlab import Constellation, ScenarioConfig
+from carrierlab import Constellation, ScenarioConfig, cli
 from carrierlab.cli import main
 from carrierlab.scenarios import SCENARIOS
 
@@ -187,6 +187,24 @@ class TestRun:
         assert err.count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
         assert (out / "report.txt").is_dir()
+
+
+class TestParser:
+    def test_one_parser_parses_each_call_afresh(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--scenario", "fig9", "--seed", "7", "--out", str(first)] + SMALL_FLAGS) == 0
+        assert main(["verify", "--out", str(first)]) == 0
+        # no flag of the first run carries over: seed and scenario are the defaults again
+        assert main(["run", "--n-samples", "4096", "--out", str(second)]) == 0
+        assert (second / "config.txt").read_text() == ScenarioConfig(n_samples=4096).to_text()
+        assert "seed = 7\n" in (first / "config.txt").read_text()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as rejected:
+            main(["run", "--no-such-flag", "1"])
+        assert rejected.value.code == 2
+        assert "unrecognized arguments: --no-such-flag 1" in capsys.readouterr().err
+        assert main(["verify", "--out", str(second)]) == 0
 
 
 class TestVerify:
