@@ -1,18 +1,31 @@
 """Independent tasks over two CPUs: a forked helper process runs the heavier
-half by weight and the caller the rest.  The helper is forked only if
-``os.fork`` exists, this process may use more than one CPU and it runs no
-other thread (a lock that thread held would stay held in the child).  Either
-way results come in task order and the first exception in task order is
-raised, so nothing a caller computes depends on where its tasks ran."""
+half by weight and the caller the rest, where a CPU is idle and the process
+has one OS thread (a lock another thread held would stay held in the child).
+Results and the first exception come in task order either way."""
 
+import functools
 import os
 import pickle
 import signal
-import threading
+import time
 
 
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+@functools.cache  # once per process, so that a run splits every step or none
+def _idle_cpu() -> bool:
+    """Fewer tasks runnable on the machine (``/proc/loadavg``, this process
+    included) than CPUs this process may use, in most of nine readings 1 ms apart."""
+    cpus = len(os.sched_getaffinity(0))
+    idle = 0
+    for _ in range(9):
+        with open("/proc/loadavg") as fh:
+            idle += int(fh.read().split()[3].partition("/")[0]) < cpus
+        time.sleep(0.001)
+    return idle > 4
+
+
+def _threads() -> int:
+    """OS threads, a native BLAS pool's included; 0 where ``/proc`` lists none."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
 
 
 def _run(tasks: list, indices: list[int]) -> dict:
@@ -28,19 +41,12 @@ def _run(tasks: list, indices: list[int]) -> dict:
 
 
 def split(tasks: list, weights: list[float]) -> list:
-    """``[task() for task in tasks]``.  Results and exceptions cross through
-    ``pickle``.  The helper is killed and reaped before this returns or
-    raises; one that ends without its results raises ``ChildProcessError``."""
-    share: list[int] = []  # the helper's tasks: heaviest first, each to the lighter side
-    if len(tasks) > 1 and hasattr(os, "fork") and _cpus() > 1 and threading.active_count() == 1:
-        theirs = ours = 0.0
-        for i in sorted(range(len(tasks)), key=lambda i: -weights[i]):
-            if theirs <= ours:
-                share.append(i)
-                theirs += weights[i]
-            else:
-                ours += weights[i]
-        share.sort()
+    """``[task() for task in tasks]``.  A helper that ends without its results
+    raises ``ChildProcessError``; none outlives the call."""
+    share: list[int] = []
+    if len(tasks) > 1 and _threads() == 1 and _idle_cpu():
+        # the helper's tasks: the first, third, ... heaviest, at least half the weight
+        share = sorted(sorted(range(len(tasks)), key=lambda i: -weights[i])[::2])
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -61,10 +67,9 @@ def split(tasks: list, weights: list[float]) -> list:
         outcomes = _run(tasks, [i for i in range(len(tasks)) if i not in share])
         raised = [i for i, (ok, _) in outcomes.items() if not ok]
         if share and not (raised and raised[0] < share[0]):  # the helper's outcomes may come first
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
             try:
-                outcomes.update(pickle.loads(data))
+                with open(r, "rb", closefd=False) as pipe:
+                    outcomes.update(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError("the helper process ended without its results") from None
     finally:

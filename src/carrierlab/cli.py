@@ -89,7 +89,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not out.is_dir():
         print(f"verify error: no such directory {out}", file=sys.stderr)
         return 2
-    ok, messages = verify_run(out)
+    try:
+        ok, messages = verify_run(out)
+    except OSError as exc:  # a helper process that ended without its results
+        print(f"verify error: {exc}", file=sys.stderr)
+        return 2
     for message in messages:
         print(message)
     print(f"verify: {'pass' if ok else 'fail'}")

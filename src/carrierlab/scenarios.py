@@ -438,9 +438,8 @@ GROUP_LAW_TRIALS = 100
 
 
 def _group_law_trial(cfg: ScenarioConfig, seed: int, f1: float, f2: float) -> tuple[float, ...]:
-    """One trial's additivity, commutativity, identity and inverse errors.
-    Integer-Hz shifts stay exactly on the sampling grid, keeping both
-    composition orders bit-comparable in double precision."""
+    # integer-Hz shifts stay exactly on the sampling grid, keeping both
+    # composition orders bit-comparable in double precision
     s = _make_baseband(cfg, seed)
     moved = band_move(s, f1)
     via = band_move(moved, f2)
@@ -619,45 +618,41 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[st
     return report, artifacts
 
 
-def _rows(artifacts: dict[str, tuple[str, Any]]) -> list[float]:
-    """Each artifact's row count: the weight of formatting or parsing it."""
-    return [len(sigio.SCHEMAS[kind].columns(data)[0]) for kind, data in artifacts.values()]
+def _rows(artifacts: dict[str, tuple[str, Any]]) -> list[int]:
+    """The weight of formatting or parsing each artifact: its rows (filter taps, ~119 next to thousands, count 1)."""
+    return [getattr(data, "n", 1) for _, data in artifacts.values()]
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     """Run a scenario and write config.txt, its artifacts and report.txt to
-    ``out_dir``, the artifacts split over two CPUs where ``_split`` can.
+    ``out_dir``.
 
-    An ``OSError`` while writing, in either process, removes every file
-    this call opened or handed to the helper before it propagates, so a
+    An ``OSError`` while writing, in this process or the helper that writes
+    some artifacts, removes every file of the run before it propagates, so a
     failed run leaves no partial run behind.
     """
     report, artifacts = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: set[Path] = set()
 
     def write(name: str, text: str) -> None:
         with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
-            written.add(out / name)
             fh.write(text)
 
     def write_artifact(name: str, kind: str, data: Any) -> None:
-        # formatted just before it is written, so that a process holds one
-        # file's text at a time; the writer is looked up on the module at
-        # each call, so that wrappers installed there for profiling see it
+        # formatted just before it is written, so that only one file's text is
+        # held at a time; the writer is looked up on the module at each call,
+        # so that wrappers installed there for profiling see every write
         write(name, getattr(sigio, f"{kind}_csv_text")(data))
 
     try:
         write("config.txt", cfg.to_text())
-        # every artifact is listed first: the helper's opens are not seen here
-        written.update(out / name for name in artifacts)
         split([partial(write_artifact, name, *entry) for name, entry in artifacts.items()], _rows(artifacts))
         write("report.txt", report.to_text())
     except OSError:
-        for path in written:
-            with contextlib.suppress(OSError):  # e.g. a directory in an artifact's place
-                path.unlink()
+        for name in ("config.txt", *artifacts, "report.txt"):
+            with contextlib.suppress(OSError):  # e.g. a directory in the file's place
+                (out / name).unlink()
         raise
     return report
 

@@ -290,7 +290,7 @@ class TestGuardMemo:
         gc.collect()
         assert ref() is None
 
-    def test_group_laws_guards_each_trial_with_three_ffts(self, fft_calls, one_cpu):
+    def test_group_laws_guards_each_trial_with_three_ffts(self, fft_calls, no_idle_cpu):
         # in-process, where the counting FFT sees every trial
         report, _ = execute_scenario(ScenarioConfig(scenario="group_laws", n_samples=4096))
         assert report.passed

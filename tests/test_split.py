@@ -1,8 +1,10 @@
 """Tests for ``carrierlab._split``: one forked helper process runs part of a
 list of tasks, and nothing a caller sees depends on whether it ran."""
 
+import io
 import itertools
 import os
+import threading
 import time
 
 import pytest
@@ -17,10 +19,10 @@ N = 4
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """The process may use two CPUs, whatever the host has, and every fork
-    the helper makes is counted."""
-    monkeypatch.setattr(_split, "_cpus", lambda: 2)
+def forks(monkeypatch):
+    """The process may use a CPU that no runnable task holds, whatever the
+    host has and runs, and every fork the helper makes is counted."""
+    monkeypatch.setattr(_split, "_idle_cpu", lambda: True)
     forks = []
     fork = os.fork
 
@@ -54,41 +56,71 @@ def _outcome(failing):
 
 
 class TestSplit:
-    def test_results_in_task_order(self, two_cpus):
+    def test_results_in_task_order(self, forks):
         weights = [3.0, 1.0, 7.0, 1.0, 1.0, 2.0]
         pids = split([lambda i=i: (i, os.getpid()) for i in range(len(weights))], weights)
         assert [i for i, _ in pids] == list(range(len(weights)))
-        # the heaviest task went to the helper, and the caller ran the rest
-        assert pids[2][1] != os.getpid()
-        assert {pid for _, pid in pids} == {os.getpid(), pids[2][1]}
-        assert two_cpus == [1]
+        # the helper ran the first, third and fifth heaviest (tasks 2, 5 and 3),
+        # equal weights in task order, and the caller the rest
+        helper = pids[2][1]
+        assert helper != os.getpid()
+        assert [pid for _, pid in pids] == [os.getpid(), os.getpid(), helper, helper, os.getpid(), helper]
+        assert forks == [1]
         assert_no_child_left()
 
-    def test_one_cpu_runs_every_task_here(self, one_cpu, monkeypatch):
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    def test_no_idle_cpu_runs_every_task_here(self, no_idle_cpu, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with no idle CPU"))
         assert split([lambda i=i: (i, os.getpid()) for i in range(N)], [1.0] * N) == [
             (i, os.getpid()) for i in range(N)
         ]
 
-    def test_one_task_runs_here(self, two_cpus):
+    @pytest.mark.parametrize(
+        "runnable, idle",
+        [([1] * 9, True), ([2] * 9, False), ([1, 2] * 4 + [1], True), ([2, 1] * 4 + [2], False), ([3] * 9, False)],
+    )
+    def test_idle_cpu_is_most_readings_below_the_cpus(self, runnable, idle, monkeypatch):
+        readings = iter(runnable)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(
+            _split, "open", lambda path: io.StringIO(f"0.52 0.58 0.59 {next(readings)}/180 9931\n"), raising=False
+        )
+        assert _split._idle_cpu.__wrapped__() is idle  # uncached: each process decides once
+        assert next(readings, None) is None
+
+    def test_another_thread_keeps_every_task_here(self, forks):
+        # a lock that thread held would stay held in a forked helper
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert _split._threads() == 2
+            assert split([lambda i=i: (i, os.getpid()) for i in range(N)], [1.0] * N) == [
+                (i, os.getpid()) for i in range(N)
+            ]
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+
+    def test_one_task_runs_here(self, forks):
         assert split([os.getpid], [1.0]) == [os.getpid()]
-        assert two_cpus == []
+        assert forks == []
 
     @pytest.mark.parametrize(
         "failing",
         [set(c) for r in (1, 2, 3) for c in itertools.combinations(range(N), r)],
         ids=lambda failing: "raise-" + "-".join(map(str, sorted(failing))),
     )
-    def test_first_exception_in_task_order(self, failing, two_cpus, monkeypatch):
+    def test_first_exception_in_task_order(self, failing, forks, monkeypatch):
         forked = _outcome(failing)
-        assert two_cpus == [1]
+        assert forks == [1]
         assert_no_child_left()
-        monkeypatch.setattr(_split, "_cpus", lambda: 1)
+        monkeypatch.setattr(_split, "_idle_cpu", lambda: False)
         first = min(failing)
         assert forked == _outcome(failing) == (FileNotFoundError, f"[Errno 2] task {first} found nothing: 'file{first}'")
-        assert two_cpus == [1]
+        assert forks == [1]
 
-    def test_failed_fork_runs_every_task_here(self, two_cpus, monkeypatch):
+    def test_failed_fork_runs_every_task_here(self, forks, monkeypatch):
         def refused():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
@@ -99,13 +131,13 @@ class TestSplit:
         ]
         assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
 
-    def test_helper_that_dies_without_results(self, two_cpus):
+    def test_helper_that_dies_without_results(self, forks):
         with pytest.raises(ChildProcessError, match="ended without its results"):
             split([lambda: os._exit(3), lambda: 1], [1.0, 1.0])
-        assert two_cpus == [1]
+        assert forks == [1]
         assert_no_child_left()
 
-    def test_raise_here_kills_the_helper(self, two_cpus):
+    def test_raise_here_kills_the_helper(self, forks):
         # the helper gets the heavy task 1, which would outlast the test;
         # task 0 raises here first, so the helper's outcome is not needed
         def boom():
@@ -115,12 +147,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="task 0"):
             split([boom, lambda: time.sleep(60), lambda: 2], [1.0, 5.0, 1.0])
         assert time.monotonic() - start < 30
-        assert two_cpus == [1]
+        assert forks == [1]
         assert_no_child_left()
 
 
 class TestSplitRuns:
-    def test_run_whose_helper_dies_exits_2_and_leaves_nothing(self, tmp_path, capsys, two_cpus, monkeypatch):
+    def test_run_whose_helper_dies_exits_2_and_leaves_nothing(self, tmp_path, capsys, forks, monkeypatch):
         # fig9's helper writes spectrum_baseband.csv, then dies while it
         # formats signal_demodulated.csv; the caller writes the rest
         parent = os.getpid()
@@ -137,11 +169,32 @@ class TestSplitRuns:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert list(out.iterdir()) == []
-        assert two_cpus == [1]
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_verify_whose_helper_dies_exits_2(self, tmp_path, capsys, forks, monkeypatch):
+        # fig9's verify helper reads signal_demodulated.csv, and dies there
+        out = tmp_path / "fig9"
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), out)
+        parent = os.getpid()
+        read = sigio.read_signal_csv
+
+        def dying(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            return read(path)
+
+        monkeypatch.setattr(sigio, "read_signal_csv", dying)
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify error: the helper process ended without its results\n"
+        assert forks == [1, 1]  # the run's writes, then verify's reads
         assert_no_child_left()
 
     @pytest.mark.parametrize("name", ["spectrum_baseband.csv", "spectrum_modulated.csv"])
-    def test_directory_in_an_artifacts_place_exits_2_and_stays(self, name, tmp_path, capsys, two_cpus):
+    def test_directory_in_an_artifacts_place_exits_2_and_stays(self, name, tmp_path, capsys, forks):
         # the helper opens spectrum_baseband.csv, the caller spectrum_modulated.csv
         out = tmp_path / "fig9"
         (out / name).mkdir(parents=True)
@@ -149,32 +202,32 @@ class TestSplitRuns:
         err = capsys.readouterr().err
         assert err == f"output error: [Errno 21] Is a directory: '{out / name}'\n"
         assert [p.name for p in out.iterdir()] == [name]
-        assert two_cpus == [1]
+        assert forks == [1]
         assert_no_child_left()
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_one_and_two_cpus_write_the_same_bytes(self, scenario, tmp_path, two_cpus, monkeypatch):
+    def test_helper_and_no_helper_write_the_same_bytes(self, scenario, tmp_path, forks, monkeypatch):
         runs = {}
-        for cpus in (2, 1):
-            monkeypatch.setattr(_split, "_cpus", lambda cpus=cpus: cpus)
-            out = tmp_path / str(cpus)
+        for idle in (True, False):
+            monkeypatch.setattr(_split, "_idle_cpu", lambda idle=idle: idle)
+            out = tmp_path / str(idle)
             run_scenario(ScenarioConfig(scenario=scenario, n_samples=4096), out)
             assert verify_run(out) == (True, [])
             assert_no_child_left()
-            runs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert runs[1] == runs[2]
+            runs[idle] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert runs[True] == runs[False]
         # run, verify and group_laws' trials (at each execution) used the helper
         # wherever there was more than one task
-        assert len(two_cpus) == {"group_laws": 4, "compare": 0}.get(scenario, 2)
+        assert len(forks) == {"group_laws": 4, "compare": 0}.get(scenario, 2)
 
-    def test_verify_messages_keep_artifact_order(self, tmp_path, two_cpus, monkeypatch):
+    def test_verify_messages_keep_artifact_order(self, tmp_path, forks, monkeypatch):
         out = tmp_path / "fig9"
         run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), out)
         (out / "spectrum_baseband.csv").write_text("freq_hz,re,im\n")
         (out / "spectrum_modulated.csv").unlink()
         (out / "signal_demodulated.csv").write_text("index,re\n0,1.0\n")
         forked = verify_run(out)
-        monkeypatch.setattr(_split, "_cpus", lambda: 1)
+        monkeypatch.setattr(_split, "_idle_cpu", lambda: False)
         assert forked == verify_run(out)
         names = ["spectrum_baseband.csv", "spectrum_modulated.csv", "signal_demodulated.csv"]
         assert [[name in message for name in names] for message in forked[1]] == [
@@ -182,5 +235,5 @@ class TestSplitRuns:
             [False, True, False],
             [False, False, True],
         ]
-        assert two_cpus == [1, 1]  # the run's writes, then the forked verify
+        assert forks == [1, 1]  # the run's writes, then the forked verify
         assert_no_child_left()
