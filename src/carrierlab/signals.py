@@ -328,10 +328,10 @@ def generate_baseband(
 ) -> ComplexSignal:
     """Turn a symbol stream into a sampled baseband waveform.
 
-    ``shaping`` is ``"rectangular"`` (each symbol held for
-    ``samples_per_symbol`` samples) or ``"raised_cosine"`` (symbols
-    interpolated through a truncated raised-cosine pulse; the occupied
-    two-sided bandwidth is then at most ``(1 + rolloff) * symbol_rate``).
+    ``shaping`` is ``"rectangular"`` (each symbol held for ``samples_per_symbol``
+    samples) or ``"raised_cosine"`` (symbols interpolated through a truncated
+    raised-cosine pulse, nominally ``(1 + rolloff) * symbol_rate`` wide; measured by
+    ``occupied_extent``, the default stream at 4096 samples spans 1776 Hz, not 1280).
     Output is deterministic for a fixed (seed, constellation, shaping).
     """
     if samples_per_symbol < 1:

@@ -241,11 +241,14 @@ _UNUSABLE = ["-1", "0", "1e-320", "1e308", "nan", "-inf", "", "abc"]
 
 def _raw_values(name):
     """Text for field ``name``: half the time its default scaled by 0.5, 1
-    or 2, half the time a value from ``_UNUSABLE``."""
+    or 2, half the time a value from ``_UNUSABLE``.  ``f_c_hz`` is also
+    scaled by 0.125 and 0.25, down to the symbol rate, where a band reaches
+    past DC."""
     if name == "constellation":
         return st.sampled_from(["qpsk", "QAM16"]) | st.sampled_from(["bpsk", ""])
     default = getattr(_DEFAULTS, name)
-    usable = [str(type(default)(default * k)) for k in (0.5, 1, 2)]
+    scales = (0.125, 0.25, 0.5, 1, 2) if name == "f_c_hz" else (0.5, 1, 2)
+    usable = [str(type(default)(default * k)) for k in scales]
     return st.sampled_from(usable) | st.sampled_from(_UNUSABLE)
 
 

@@ -45,11 +45,12 @@ class TestScenarioConfig:
         [
             (dict(scenario="fig8"), "unknown scenario"),
             (dict(n_samples=1000), "power of two"),
-            (dict(f_c_hz=256.0), "4x symbol_rate_hz"),
+            (dict(f_c_hz=-256.0), "f_c_hz must be positive"),  # a domain check; the band is the chain's
             (dict(symbol_rate_hz=100.0), "integer multiple"),
             (dict(rolloff=2.0), "rolloff"),
             (dict(guard_hz=-5.0), "guard_hz"),
-            (dict(f_c_hz=32768.0, symbol_rate_hz=8192.0), "Nyquist"),
+            # a carrier at fs/2, whose default low-pass reaches past it
+            (dict(f_c_hz=32768.0, symbol_rate_hz=8192.0), "below half the sample rate"),
             (dict(crosstalk=1.5), "crosstalk"),
             (dict(noise_sigma=-1.0), "noise_sigma"),
             (dict(seed=-1), "seeds"),
@@ -70,6 +71,41 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(**overrides)
         with pytest.raises(ValueError, match=fragment):
             cfg.validate()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_carrier_below_the_symbol_rate_is_left_to_the_chain(self, scenario):
+        # validate() checks no band: at f_c 256 Hz, a quarter of the symbol
+        # rate, the modulators that keep a band on its side of DC reject the
+        # run, and the chains that move one band anywhere reach a verdict
+        cfg = ScenarioConfig(scenario=scenario, n_samples=4096, f_c_hz=256.0)
+        cfg.validate()
+        if scenario in ("fig4", "fig5", "fig7", "fig10", "compare"):
+            with pytest.raises(ValueError, match="does not fit a band .* on its side of DC"):
+                execute_scenario(cfg)
+        else:
+            report, _ = execute_scenario(cfg)
+            assert report.verdicts
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_carrier_at_half_the_rate_is_left_to_the_chain(self, scenario):
+        # the carrier at fs/2 above, with a low-pass narrow enough for
+        # validate(): a band move's guard rejects it, or, where the carrier
+        # moves no baseband, the oscillator's
+        cfg = ScenarioConfig(
+            scenario=scenario,
+            n_samples=4096,
+            f_c_hz=32768.0,
+            symbol_rate_hz=8192.0,
+            cutoff_hz=4096.0,
+            transition_hz=1024.0,
+        )
+        cfg.validate()
+        if scenario in ("group_laws", "polarization"):
+            expected = "carrier frequency .* violates the Nyquist limit"
+        else:
+            expected = "band move by .* past the Nyquist limit"
+        with pytest.raises(ValueError, match=expected):
+            execute_scenario(cfg)
 
     def test_sample_ceiling_is_accepted(self):
         ScenarioConfig(n_samples=MAX_SAMPLES).validate()  # validation only; nothing runs
@@ -293,6 +329,23 @@ class TestVerdictEnvelope:
                 )
                 for n in (4096, 65536)
             ),
+            # carriers below 4x the symbol rate and near fs/2, which the chains'
+            # guards alone check; the carriers nearest DC that the real chain
+            # (baseband's lower edge -1184 Hz) and the dual chain (stream B's,
+            # -912 Hz, plus the 512 Hz guard) accept
+            pytest.param("fig9", dict(f_c_hz=512.0), set(), id="fig9-fc-512"),
+            pytest.param("fig6", dict(f_c_hz=512.0), {"l_fraction"}, id="fig6-fc-512"),
+            pytest.param(
+                "fig5", dict(f_c_hz=1280.0, rolloff=1.0), {"recovered_peak_rel_err"}, id="fig5-fc-1280-rolloff-1"
+            ),
+            pytest.param(
+                "polarization",
+                dict(f_c_hz=32767.0),
+                {"handedness_r", "handedness_linear"},
+                id="polarization-fc-32767",
+            ),
+            pytest.param("fig4", dict(f_c_hz=1184.0), set(), id="fig4-fc-1184"),
+            pytest.param("fig10", dict(f_c_hz=1424.0), set(), id="fig10-fc-1424"),
             # a circular tone's band holds (1 + s^2)/(1 + 2 s^2) of the energy
             # under noise s per component and (1 - c)^2/((1 - c)^2 + c^2)
             # under crosstalk c: above the 0.9 threshold up to s = sqrt(1/8)
@@ -321,11 +374,33 @@ class TestVerdictEnvelope:
         with pytest.raises(ValueError, match="cannot isolate one band .* 17536.0 Hz away"):
             execute_scenario(cfg)
 
-    @pytest.mark.parametrize("scenario", ["fig7", "fig10", "compare"])
-    def test_guard_past_a_streams_dc_facing_edge_is_rejected(self, scenario):
-        cfg = ScenarioConfig(scenario=scenario, n_samples=4096, guard_hz=7280.5)
+    @pytest.mark.parametrize(
+        "scenario, overrides, expected",
+        [
+            *(
+                pytest.param(scenario, dict(guard_hz=7280.5), r"stream_b occupying \[-912.0, 944.0\] Hz", id=scenario)
+                for scenario in ("fig7", "fig10", "compare")
+            ),
+            # carriers too near DC for the guard, 0 Hz in the real chain
+            pytest.param("fig4", dict(f_c_hz=1183.0), r"baseband occupying \[-1184.0, 592.0\] Hz", id="fig4-fc-1183"),
+            pytest.param("fig10", dict(f_c_hz=1024.0), r"stream_a occupying \[-1184.0, 592.0\] Hz", id="fig10-fc-1024"),
+            pytest.param("fig10", dict(f_c_hz=1423.0), r"stream_b occupying \[-912.0, 944.0\] Hz", id="fig10-fc-1423"),
+        ],
+    )
+    def test_guard_past_a_streams_dc_facing_edge_is_rejected(self, scenario, overrides, expected):
+        cfg = ScenarioConfig(scenario=scenario, n_samples=4096, **overrides)
         cfg.validate()  # accepted; the modulation rejects it
-        with pytest.raises(ValueError, match=r"stream_b occupying \[-912.0, 944.0\] Hz does not fit a band"):
+        with pytest.raises(ValueError, match=expected + " does not fit a band"):
+            execute_scenario(cfg)
+
+    def test_band_a_trial_moves_past_half_the_rate_is_rejected(self):
+        # at two samples per symbol the baseband is as wide as the rate allows,
+        # and one of group_laws' random moves pushes it past fs/2
+        cfg = ScenarioConfig(scenario="group_laws", n_samples=4096, symbol_rate_hz=32768.0)
+        cfg.validate()  # accepted; the trial's band move rejects it
+        with pytest.raises(
+            ValueError, match=r"band move by 7145.0 Hz would push content occupying \[-10176.0, 26336.0\] Hz past"
+        ):
             execute_scenario(cfg)
 
     def test_carrier_at_a_quarter_of_the_rate_is_rejected(self, monkeypatch):
