@@ -18,10 +18,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
 
@@ -462,7 +463,7 @@ def _build_group_laws(cfg: ScenarioConfig):
         f1 = float(rng.integers(-f_cap, f_cap + 1))
         f2 = float(rng.integers(-f_cap, f_cap + 1))
         trials.append(partial(_group_law_trial, cfg, seed, f1, f2))
-    errors = split(trials, [1.0] * GROUP_LAW_TRIALS)
+    errors = list(split(trials))
     max_add, max_comm, max_ident, max_inv = (max(0.0, *column) for column in zip(*errors))
 
     sp_flipped = dft_two_sided(flipped)
@@ -614,37 +615,38 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[st
     return report, artifacts
 
 
-def _rows(artifacts: dict[str, tuple[str, Any]]) -> list[int]:
-    """The weight of formatting or parsing each artifact: its rows (filter taps, ~119 next to thousands, count 1)."""
-    return [getattr(data, "n", 1) for _, data in artifacts.values()]
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     """Run a scenario and write config.txt, its artifacts and report.txt to
     ``out_dir``.
 
-    An ``OSError`` while writing, in this process or the helper that writes
-    some artifacts, removes every file of the run before it propagates, so a
-    failed run leaves no partial run behind.
+    An ``OSError`` while writing, or a helper process that ends without the
+    text it formats, removes every file of the run before it propagates, so
+    a failed run leaves no partial run behind.
     """
     report, artifacts = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def write(name: str, text: str) -> None:
+    def write(name: str, texts: Iterable[str]) -> None:
         with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
-            fh.write(text)
+            fh.writelines(texts)
 
-    def write_artifact(name: str, kind: str, data: Any) -> None:
-        # formatted just before it is written, so that only one file's text is
-        # held at a time; the writer is looked up on the module at each call,
-        # so that wrappers installed there for profiling see every write
-        write(name, getattr(sigio, f"{kind}_csv_text")(data))
-
+    # each CSV in two row pieces cut at a block boundary near its middle (one
+    # piece up to a block), for split to format while this process writes the
+    # files in order; sigio.csv_text is looked up on the module here, so that
+    # wrappers installed there for profiling see every piece
+    pieces = []
+    for name, (kind, data) in artifacts.items():
+        rows = len(sigio.SCHEMAS[kind].columns(data)[0])
+        cut = round(rows / (2 * sigio.BLOCK_ROWS)) * sigio.BLOCK_ROWS
+        bounds = (0, cut, None) if 0 < cut < rows else (0, None)
+        pieces += [(name, partial(sigio.csv_text, kind, data, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     try:
-        write("config.txt", cfg.to_text())
-        split([partial(write_artifact, name, *entry) for name, entry in artifacts.items()], _rows(artifacts))
-        write("report.txt", report.to_text())
+        write("config.txt", [cfg.to_text()])
+        with contextlib.closing(split([task for _, task in pieces])) as texts:
+            for name, group in groupby(zip([name for name, _ in pieces], texts), key=itemgetter(0)):
+                write(name, (text for _, text in group))
+        write("report.txt", [report.to_text()])
     except OSError:
         for name in ("config.txt", *artifacts, "report.txt"):
             with contextlib.suppress(OSError):  # e.g. a directory in the file's place
@@ -761,7 +763,7 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
         return None if divergence is None else f"artifact {name} {divergence}"
 
-    checks = split([partial(check, name, *entry) for name, entry in artifacts.items()], _rows(artifacts))
+    checks = list(split([partial(check, name, *entry) for name, entry in artifacts.items()]))
     messages.extend(message for message in checks if message is not None)
     written = {"report.txt", *fresh.artifacts}
     undeclared = sorted(p.name for p in out.iterdir() if p.name not in written)

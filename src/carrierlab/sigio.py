@@ -85,10 +85,13 @@ def columns(kind: str, data: Any) -> dict[str, np.ndarray]:
     return dict(zip(schema.names, schema.columns(data)))
 
 
-def _csv_text(kind: str, data: Any) -> str:
+def csv_text(kind: str, data: Any, lo: int = 0, hi: int | None = None) -> str:
+    """Rows ``lo`` up to ``hi`` of the artifact of ``kind`` for ``data``, the
+    header first only where ``lo`` is 0.  Each row formats on its own, so
+    pieces cut anywhere join to the bytes of the whole file."""
     schema = SCHEMAS[kind]
-    cols = schema.columns(data)
-    chunks = [schema.header + "\n"]
+    cols = [col[lo:hi] for col in schema.columns(data)]
+    chunks = [schema.header + "\n"] if lo == 0 else []
     for start in range(0, len(cols[0]), BLOCK_ROWS):
         # tolist() yields Python ints and floats, whose repr is the file format
         cells = [map(repr, col[start : start + BLOCK_ROWS].tolist()) for col in cols]
@@ -97,19 +100,19 @@ def _csv_text(kind: str, data: Any) -> str:
 
 
 def signal_csv_text(s: ComplexSignal) -> str:
-    return _csv_text("signal", s)
+    return csv_text("signal", s)
 
 
 def spectrum_csv_text(sp: Spectrum) -> str:
-    return _csv_text("spectrum", sp)
+    return csv_text("spectrum", sp)
 
 
 def pair_csv_text(p: PolarizedPair) -> str:
-    return _csv_text("pair", p)
+    return csv_text("pair", p)
 
 
 def taps_csv_text(taps: np.ndarray) -> str:
-    return _csv_text("taps", taps)
+    return csv_text("taps", taps)
 
 
 def _fault(data: bytes, schema: Schema) -> str | None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from carrierlab import ComplexSignal, PolarizedPair, dft_two_sided, oscillator
+from carrierlab import ComplexSignal, PolarizedPair, Spectrum, dft_two_sided, oscillator
 from carrierlab import sigio
 
 FS = 256.0
@@ -96,6 +96,40 @@ class TestTapsCsv:
         path.write_text("tap\n0.5\n")
         with pytest.raises(ValueError):
             sigio.read_taps_csv(path)
+
+
+def _table(kind, n, seed):
+    """An object of ``n`` rows that ``kind``'s schema formats."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, n))
+    return {
+        "signal": lambda: ComplexSignal(re + 1j * im, FS),
+        "spectrum": lambda: Spectrum(re + 1j * im, FS / n),
+        "pair": lambda: PolarizedPair(re, im, FS),
+        "taps": lambda: re,
+    }[kind]()
+
+
+#: row counts anywhere up to about four blocks, and beside each multiple of a block
+ROWS = st.one_of(
+    st.integers(1, 1100),
+    st.builds(lambda k, d: max(1, k * sigio.BLOCK_ROWS + d), st.integers(1, 4), st.integers(-2, 2)),
+)
+
+
+class TestPieces:
+    @given(st.sampled_from(sorted(sigio.SCHEMAS)), ROWS, st.integers(0, 2**32 - 1), st.data())
+    def test_pieces_cut_at_block_boundaries_join_to_the_file(self, kind, n, seed, data):
+        boundaries = range(sigio.BLOCK_ROWS, n + 1, sigio.BLOCK_ROWS)
+        cuts = data.draw(st.sets(st.sampled_from(boundaries)) if boundaries else st.just(set()))
+        table = _table(kind, n, seed)
+        bounds = [0, *sorted(cuts), None]
+        pieces = [sigio.csv_text(kind, table, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert "".join(pieces) == getattr(sigio, f"{kind}_csv_text")(table)
+        header = sigio.SCHEMAS[kind].header + "\n"
+        assert pieces[0].startswith(header)
+        assert not any(piece.startswith(header) for piece in pieces[1:])
+        assert all(piece.endswith("\n") for piece in pieces if piece)
 
 
 def test_readme_lists_the_schema_headers():

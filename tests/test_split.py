@@ -1,6 +1,8 @@
-"""Tests for ``carrierlab._split``: one forked helper process runs part of a
-list of tasks, and nothing a caller sees depends on whether it ran."""
+"""Tests for ``carrierlab._split``: one forked helper process runs every
+second task of a list and streams each result back, and nothing a caller
+sees depends on whether it ran."""
 
+import contextlib
 import io
 import itertools
 import os
@@ -14,7 +16,7 @@ from carrierlab.cli import main
 from carrierlab.scenarios import SCENARIOS, ScenarioConfig, run_scenario, verify_run
 from carrierlab._split import split
 
-#: four tasks of equal weight: the helper runs tasks 0 and 2, the caller 1 and 3
+#: four tasks: the helper runs tasks 1 and 3, the caller 0 and 2
 N = 4
 
 
@@ -50,27 +52,25 @@ def _raising(i, failing):
 
 def _outcome(failing):
     try:
-        return split([_raising(i, failing) for i in range(N)], [1.0] * N)
+        return list(split([_raising(i, failing) for i in range(N)]))
     except Exception as exc:
         return type(exc), str(exc)
 
 
 class TestSplit:
     def test_results_in_task_order(self, forks):
-        weights = [3.0, 1.0, 7.0, 1.0, 1.0, 2.0]
-        pids = split([lambda i=i: (i, os.getpid()) for i in range(len(weights))], weights)
-        assert [i for i, _ in pids] == list(range(len(weights)))
-        # the helper ran the first, third and fifth heaviest (tasks 2, 5 and 3),
-        # equal weights in task order, and the caller the rest
-        helper = pids[2][1]
+        pids = list(split([lambda i=i: (i, os.getpid()) for i in range(6)]))
+        assert [i for i, _ in pids] == list(range(6))
+        # the helper ran tasks 1, 3 and 5, and the caller the rest
+        helper = pids[1][1]
         assert helper != os.getpid()
-        assert [pid for _, pid in pids] == [os.getpid(), os.getpid(), helper, helper, os.getpid(), helper]
+        assert [pid for _, pid in pids] == [os.getpid(), helper] * 3
         assert forks == [1]
         assert_no_child_left()
 
     def test_no_idle_cpu_runs_every_task_here(self, no_idle_cpu, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with no idle CPU"))
-        assert split([lambda i=i: (i, os.getpid()) for i in range(N)], [1.0] * N) == [
+        assert list(split([lambda i=i: (i, os.getpid()) for i in range(N)])) == [
             (i, os.getpid()) for i in range(N)
         ]
 
@@ -94,7 +94,7 @@ class TestSplit:
         other.start()
         try:
             assert _split._threads() == 2
-            assert split([lambda i=i: (i, os.getpid()) for i in range(N)], [1.0] * N) == [
+            assert list(split([lambda i=i: (i, os.getpid()) for i in range(N)])) == [
                 (i, os.getpid()) for i in range(N)
             ]
         finally:
@@ -103,7 +103,7 @@ class TestSplit:
         assert forks == []
 
     def test_one_task_runs_here(self, forks):
-        assert split([os.getpid], [1.0]) == [os.getpid()]
+        assert list(split([os.getpid])) == [os.getpid()]
         assert forks == []
 
     @pytest.mark.parametrize(
@@ -126,44 +126,78 @@ class TestSplit:
 
         fds = len(os.listdir("/proc/self/fd"))
         monkeypatch.setattr(os, "fork", refused)
-        assert split([lambda i=i: (i, os.getpid()) for i in range(N)], [1.0] * N) == [
+        assert list(split([lambda i=i: (i, os.getpid()) for i in range(N)])) == [
             (i, os.getpid()) for i in range(N)
         ]
         assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
 
     def test_helper_that_dies_without_results(self, forks):
         with pytest.raises(ChildProcessError, match="ended without its results"):
-            split([lambda: os._exit(3), lambda: 1], [1.0, 1.0])
+            list(split([lambda: 1, lambda: os._exit(3)]))
         assert forks == [1]
         assert_no_child_left()
 
     def test_raise_here_kills_the_helper(self, forks):
-        # the helper gets the heavy task 1, which would outlast the test;
-        # task 0 raises here first, so the helper's outcome is not needed
+        # the helper gets task 1, which would outlast the test; task 0
+        # raises here first, so the helper's outcome is not needed
         def boom():
             raise ValueError("task 0")
 
         start = time.monotonic()
         with pytest.raises(ValueError, match="task 0"):
-            split([boom, lambda: time.sleep(60), lambda: 2], [1.0, 5.0, 1.0])
+            list(split([boom, lambda: time.sleep(60), lambda: 2]))
         assert time.monotonic() - start < 30
         assert forks == [1]
         assert_no_child_left()
 
+    def test_result_larger_than_the_pipe_arrives_intact(self, forks):
+        # 3 MiB, past the pipe's 1 MiB: the helper writes it in parts
+        big = bytes(range(256)) * (3 * 4096)
+        assert list(split([lambda: 0, lambda: big, lambda: 2, lambda: big[::-1]])) == [0, big, 2, big[::-1]]
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_caller_runs_its_next_task_while_the_helper_works(self, forks):
+        def late():
+            time.sleep(0.3)
+            return time.monotonic()
+
+        done = list(split([time.monotonic, late, lambda: (os.getpid(), time.monotonic())]))
+        # the caller did not wait for task 1 before it ran task 2
+        assert done[2][0] == os.getpid()
+        assert done[2][1] < done[1]
+        assert done[1] - done[0] > 0.2  # task 1 slept in the helper meanwhile
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_consumer_that_raises_mid_stream_leaves_no_child(self, forks):
+        # this frame and the traceback pytest.raises keeps hold the iterator;
+        # closing it, not its collection, kills the helper and its 60 s task
+        fds = len(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="consumer"):
+            with contextlib.closing(split([lambda: 0, lambda: time.sleep(60), lambda: 2])) as results:
+                for _ in results:
+                    raise RuntimeError("the consumer stops")
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+        assert time.monotonic() - start < 30
+        assert forks == [1]
+
 
 class TestSplitRuns:
     def test_run_whose_helper_dies_exits_2_and_leaves_nothing(self, tmp_path, capsys, forks, monkeypatch):
-        # fig9's helper writes spectrum_baseband.csv, then dies while it
-        # formats signal_demodulated.csv; the caller writes the rest
+        # fig9's helper dies while it formats the second row piece of
+        # spectrum_baseband.csv, which the caller has opened
         parent = os.getpid()
-        text = sigio.signal_csv_text
+        text = sigio.csv_text
 
-        def dying(s):
+        def dying(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return text(s)
+            return text(*args)
 
-        monkeypatch.setattr(sigio, "signal_csv_text", dying)
+        monkeypatch.setattr(sigio, "csv_text", dying)
         out = tmp_path / "fig9"
         assert main(["run", "--scenario", "fig9", "--n-samples", "4096", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -173,18 +207,18 @@ class TestSplitRuns:
         assert_no_child_left()
 
     def test_verify_whose_helper_dies_exits_2(self, tmp_path, capsys, forks, monkeypatch):
-        # fig9's verify helper reads signal_demodulated.csv, and dies there
+        # fig9's verify helper reads spectrum_modulated.csv, and dies there
         out = tmp_path / "fig9"
         run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), out)
         parent = os.getpid()
-        read = sigio.read_signal_csv
+        read = sigio.read_spectrum_csv
 
         def dying(path):
             if os.getpid() != parent:
                 os._exit(3)
             return read(path)
 
-        monkeypatch.setattr(sigio, "read_signal_csv", dying)
+        monkeypatch.setattr(sigio, "read_spectrum_csv", dying)
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -195,7 +229,8 @@ class TestSplitRuns:
 
     @pytest.mark.parametrize("name", ["spectrum_baseband.csv", "spectrum_modulated.csv"])
     def test_directory_in_an_artifacts_place_exits_2_and_stays(self, name, tmp_path, capsys, forks):
-        # the helper opens spectrum_baseband.csv, the caller spectrum_modulated.csv
+        # the caller opens every file; the helper formats the second row
+        # piece of each
         out = tmp_path / "fig9"
         (out / name).mkdir(parents=True)
         assert main(["run", "--scenario", "fig9", "--n-samples", "4096", "--out", str(out)]) == 2
@@ -219,6 +254,26 @@ class TestSplitRuns:
         # run, verify and group_laws' trials (at each execution) used the helper
         # wherever there was more than one task
         assert len(forks) == {"group_laws": 4, "compare": 0}.get(scenario, 2)
+
+    def test_run_splits_each_csv_into_two_row_pieces(self, tmp_path, forks, monkeypatch):
+        # fig5 at 4096 samples: three tables of 4096 rows cut at row 2048, and
+        # 119 filter taps in one piece; the caller formats tasks 0, 2, 4 and 6
+        formatted = []
+        text = sigio.csv_text
+
+        def recording(kind, data, lo=0, hi=None):
+            formatted.append((kind, lo, hi))
+            return text(kind, data, lo, hi)
+
+        monkeypatch.setattr(sigio, "csv_text", recording)
+        out = tmp_path / "fig5"
+        run_scenario(ScenarioConfig(scenario="fig5", n_samples=4096), out)
+        assert formatted == [("spectrum", 0, 2048), ("spectrum", 0, 2048), ("signal", 0, 2048), ("taps", 0, None)]
+        assert forks == [1]
+        assert_no_child_left()
+        monkeypatch.setattr(sigio, "csv_text", text)
+        monkeypatch.setattr(_split, "_idle_cpu", lambda: False)
+        assert verify_run(out) == (True, [])
 
     def test_verify_messages_keep_artifact_order(self, tmp_path, forks, monkeypatch):
         out = tmp_path / "fig9"
