@@ -18,11 +18,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, zip_longest
-from operator import itemgetter
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Any, get_type_hints
 
@@ -599,56 +598,47 @@ SCENARIO_DESCRIPTIONS = {name: description for name, (_, description) in _SCENAR
 
 
 def execute_scenario(cfg: ScenarioConfig) -> tuple[RunReport, dict[str, tuple[str, Any]]]:
-    """Run a scenario in memory; returns the report and the CSV artifacts as
-    ``name -> (kind, data)``, each kind a ``sigio.SCHEMAS`` table.  The
-    report lists ``config.txt`` first, which ``run_scenario`` writes."""
+    """Run a scenario in memory; returns the report and the run's files, in
+    the order ``run_scenario`` writes them, as ``name -> (kind, data)``:
+    ``config.txt`` as ``("text", cfg.to_text())``, each CSV artifact with its
+    kind a ``sigio.SCHEMAS`` table, and ``report.txt`` as ``("text",
+    report.to_text())``.  The report lists every file but itself."""
     cfg.validate()
     build, _ = _SCENARIO_TABLE[cfg.scenario]
     metrics, verdicts, artifacts = build(cfg)
-    report = RunReport(
-        scenario_id=cfg.scenario,
-        config_digest=cfg.digest(),
-        artifacts=["config.txt", *artifacts],
-        metrics=metrics,
-        verdicts=verdicts,
-    )
-    return report, artifacts
+    report = RunReport(cfg.scenario, cfg.digest(), ["config.txt", *artifacts], metrics, verdicts)
+    return report, {"config.txt": ("text", cfg.to_text()), **artifacts, "report.txt": ("text", report.to_text())}
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
-    """Run a scenario and write config.txt, its artifacts and report.txt to
-    ``out_dir``.
+    """Run a scenario and write the files of ``execute_scenario``'s table to
+    ``out_dir``, in its order.
 
     An ``OSError`` while writing, or a helper process that ends without the
-    text it formats, removes every file of the run before it propagates, so
-    a failed run leaves no partial run behind.
+    text it formats, removes every file of the table before it propagates,
+    so a failed run leaves no partial run behind.
     """
-    report, artifacts = execute_scenario(cfg)
+    report, files = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def write(name: str, texts: Iterable[str]) -> None:
-        with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
-            fh.writelines(texts)
-
     # each CSV in two row pieces cut at a block boundary near its middle (one
     # piece up to a block), for split to format while this process writes the
     # files in order; sigio.csv_text is looked up on the module here, so that
     # wrappers installed there for profiling see every piece
-    pieces = []
-    for name, (kind, data) in artifacts.items():
-        rows = len(sigio.SCHEMAS[kind].columns(data)[0])
-        cut = round(rows / (2 * sigio.BLOCK_ROWS)) * sigio.BLOCK_ROWS
-        bounds = (0, cut, None) if 0 < cut < rows else (0, None)
-        pieces += [(name, partial(sigio.csv_text, kind, data, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    pieces = {}
+    for name, (kind, data) in files.items():
+        if kind != "text":
+            rows = len(sigio.SCHEMAS[kind].columns(data)[0])
+            cut = round(rows / (2 * sigio.BLOCK_ROWS)) * sigio.BLOCK_ROWS
+            bounds = (0, cut, None) if 0 < cut < rows else (0, None)
+            pieces[name] = [partial(sigio.csv_text, kind, data, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     try:
-        write("config.txt", [cfg.to_text()])
-        with contextlib.closing(split([task for _, task in pieces])) as texts:
-            for name, group in groupby(zip([name for name, _ in pieces], texts), key=itemgetter(0)):
-                write(name, (text for _, text in group))
-        write("report.txt", [report.to_text()])
+        with contextlib.closing(split([task for tasks in pieces.values() for task in tasks])) as texts:
+            for name, (kind, data) in files.items():
+                with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
+                    fh.writelines([data] if kind == "text" else islice(texts, len(pieces[name])))
     except OSError:
-        for name in ("config.txt", *artifacts, "report.txt"):
+        for name in files:
             with contextlib.suppress(OSError):  # e.g. a directory in the file's place
                 (out / name).unlink()
         raise
@@ -731,13 +721,13 @@ def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str |
 
 
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
-    """Re-check an existing run against a fresh execution of its stored
-    configuration.  ``report.txt`` and ``config.txt`` must hold the bytes of
-    the fresh report and of the canonical text of its configuration.  Every
-    artifact must exist, parse, and hold the recomputed table value for
-    value, bit for bit, and every verdict must pass.  A file that is missing
-    or cannot be read or parsed fails the run with one message naming it,
-    and so does every entry of ``out_dir`` that a fresh run does not write."""
+    """Re-check an existing run against the table of files of a fresh
+    execution of its stored configuration.  Each text file (``config.txt``,
+    then ``report.txt``) must hold the bytes of its entry.  Every CSV must
+    exist, parse, and hold the recomputed table value for value, bit for
+    bit, and every verdict must pass.  A file that is missing or cannot be
+    read or parsed fails the run with one message naming it, and so does
+    every entry of ``out_dir`` that is not in the table."""
     out = Path(out_dir)
     stored = {}
     for name in ("report.txt", "config.txt"):
@@ -746,14 +736,13 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
             return False, [fault]
     try:
         cfg = ScenarioConfig.from_mapping(parse_config_text(stored["config.txt"].decode(errors="replace")))
-        fresh, artifacts = execute_scenario(cfg)
+        fresh, files = execute_scenario(cfg)
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
 
     messages: list[str] = []
-    for name, text in (("report.txt", fresh.to_text()), ("config.txt", cfg.to_text())):
-        divergence = _text_divergence(stored[name], text)
-        if divergence is not None:
+    for name, (kind, data) in files.items():
+        if kind == "text" and (divergence := _text_divergence(stored[name], data)) is not None:
             messages.append(f"{name} {divergence}")
 
     def check(name: str, kind: str, data: Any) -> str | None:
@@ -763,10 +752,9 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
         return None if divergence is None else f"artifact {name} {divergence}"
 
-    checks = list(split([partial(check, name, *entry) for name, entry in artifacts.items()]))
+    checks = list(split([partial(check, name, kind, data) for name, (kind, data) in files.items() if kind != "text"]))
     messages.extend(message for message in checks if message is not None)
-    written = {"report.txt", *fresh.artifacts}
-    undeclared = sorted(p.name for p in out.iterdir() if p.name not in written)
+    undeclared = sorted(p.name for p in out.iterdir() if p.name not in files)
     messages.extend(f"undeclared file: {name}" for name in undeclared)
     messages.extend(f"verdict {v.name} is failing" for v in fresh.verdicts if not v.passed)
     return not messages, messages

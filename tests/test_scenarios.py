@@ -141,19 +141,36 @@ class TestScenarioConfig:
 class TestScenarioRuns:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_scenario_passes_at_desk_scale(self, scenario):
-        report, artifacts = execute_scenario(small_config(scenario))
+        report, files = execute_scenario(small_config(scenario))
         failing = [v.name for v in report.verdicts if not v.passed]
         assert report.passed, f"failing checks: {failing}"
         assert report.scenario_id == scenario
-        assert report.artifacts == ["config.txt", *artifacts]
+        assert list(files) == [*report.artifacts, "report.txt"]
 
     def test_run_writes_declared_artifacts(self, tmp_path):
-        out = tmp_path / "fig4"
-        report = run_scenario(small_config("fig4"), out)
-        for name in report.artifacts:
-            assert (out / name).exists(), name
-        assert (out / "report.txt").exists()
-        assert (out / "report.txt").read_text() == report.to_text()
+        # a run's directory is execute_scenario's table of files: each text
+        # entry's bytes and each CSV as sigio formats it whole, nothing else
+        for scenario in SCENARIOS:
+            out = tmp_path / scenario
+            report = run_scenario(small_config(scenario), out)
+            _, files = execute_scenario(small_config(scenario))
+            assert sorted(p.name for p in out.iterdir()) == sorted(files), scenario
+            for name, (kind, data) in files.items():
+                text = data if kind == "text" else sigio.csv_text(kind, data)
+                assert (out / name).read_bytes() == text.encode(), (scenario, name)
+            assert (out / "report.txt").read_text() == report.to_text()
+            assert verify_run(out) == (True, []), scenario
+
+    @pytest.mark.parametrize("name", ["spectrum_passband.csv", "filter_taps.csv", "report.txt"])
+    def test_failed_run_removes_only_its_own_files(self, tmp_path, capsys, name):
+        # fig5 writes config.txt and some of its CSVs before it meets the
+        # directory, then removes them; a file it does not write stays
+        (tmp_path / name).mkdir()
+        (tmp_path / "notes.txt").write_text("kept\n")
+        assert main(["run", "--scenario", "fig5", "--n-samples", "4096", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"output error: [Errno 21] Is a directory: '{tmp_path / name}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "notes.txt"])
+        assert (tmp_path / "notes.txt").read_text() == "kept\n"
 
     def test_spectrum_artifacts_parse(self, tmp_path):
         out = tmp_path / "fig6"
@@ -226,11 +243,14 @@ class TestScenarioRuns:
             "import hashlib\n"
             "from carrierlab import ScenarioConfig, execute_scenario, sigio\n"
             f"for scenario in {scenarios!r}:\n"
-            "    report, artifacts = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=32768))\n"
+            "    report, files = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=32768))\n"
             "    print(report.to_text())\n"
-            "    for name, (kind, data) in artifacts.items():\n"
-            "        cols = sigio.columns(kind, data).values()\n"
-            "        print(name, hashlib.sha256(b''.join(c.tobytes() for c in cols)).hexdigest())\n"
+            "    for name, (kind, data) in files.items():\n"
+            "        if kind == 'text':\n"
+            "            chunks = [data.encode()]\n"
+            "        else:\n"
+            "            chunks = [c.tobytes() for c in sigio.columns(kind, data).values()]\n"
+            "        print(name, hashlib.sha256(b''.join(chunks)).hexdigest())\n"
         )
         src = str(Path(carrierlab.__file__).parents[1])
         reports = [
@@ -490,6 +510,24 @@ class TestVerifyRun:
         assert not ok
         assert any(m.startswith(expected) for m in messages), messages
 
+    def test_messages_follow_the_order_of_the_files(self, fig9_run):
+        # the text files first, in the order run writes them (config.txt,
+        # then report.txt), then each CSV, then the file no run writes
+        with open(fig9_run / "config.txt", "a") as f:
+            f.write("# edited\n")
+        report = fig9_run / "report.txt"
+        report.write_text(report.read_text().replace("scenario: fig9", "scenario: fig6"))
+        (fig9_run / "spectrum_modulated.csv").unlink()
+        (fig9_run / "notes.txt").write_text("")
+        ok, messages = verify_run(fig9_run)
+        assert not ok
+        assert messages == [
+            "config.txt line 17: stored '# edited', recomputed nothing",
+            "report.txt line 1: stored 'scenario: fig6', recomputed 'scenario: fig9'",
+            "missing artifact: spectrum_modulated.csv",
+            "undeclared file: notes.txt",
+        ]
+
     def test_undecodable_report_detected(self, fig9_run):
         with open(fig9_run / "report.txt", "ab") as f:
             f.write(b"\xff\n")
@@ -528,9 +566,11 @@ class TestVerifyRun:
                 lambda s: (np.arange(s.n), np.arange(s.n) / s.sample_rate_hz, s.samples.real, s.samples.imag),
             ),
         }
-        _, artifacts = execute_scenario(small_config("fig9"))
+        _, files = execute_scenario(small_config("fig9"))
         expected = []
-        for name, (kind, data) in artifacts.items():
+        for name, (kind, data) in files.items():
+            if kind == "text":
+                continue
             header, columns = older[kind]
             rows = zip(*(col.tolist() for col in columns(data)))
             (fig9_run / name).write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
@@ -907,7 +947,8 @@ class TestDroppedColumns:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_no_spectrum_is_the_dft_of_a_dump(self, scenario):
-        _, artifacts = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096))
+        _, files = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096))
+        artifacts = {name: (kind, data) for name, (kind, data) in files.items() if kind != "text"}
         tables = {name: list(sigio.columns(kind, data).values()) for name, (kind, data) in artifacts.items()}
         spectra = {name: tables[name] for name, (kind, _) in artifacts.items() if kind == "spectrum"}
         for dump, (kind, _) in artifacts.items():
