@@ -1,15 +1,15 @@
 """Independent tasks over two CPUs: where a CPU is idle and the process has
 one OS thread (a lock another thread held would stay held in the child), a
-forked helper process runs tasks 1, 3, 5, ... and streams each outcome back
-as soon as it has it, and the caller runs the others.  Which process runs a
-task is a fixed function of its index.  Results and the first exception come
-in task order either way."""
+forked helper process runs tasks 1, 3, 5, ... and writes each outcome to a
+pipe as one pickle, and the caller runs the others.  The caller runs its own
+task i + 1 before it reads the helper's result i, so which process runs a
+task, and the order in which the caller computes, are fixed functions of the
+task list.  Results and the first exception come in task order either way."""
 
 import contextlib
 import functools
 import os
 import pickle
-import select
 import signal
 import time
 from collections.abc import Iterator
@@ -41,24 +41,12 @@ def _outcome(task) -> tuple:
         return False, exc
 
 
-def _read(fd: int, size: int) -> bytearray:
-    """``size`` bytes from the pipe ``fd``, however many reads they take."""
-    data = bytearray(size)
-    done = 0
-    while done < size:
-        got = os.readv(fd, [memoryview(data)[done:]])
-        if not got:
-            raise ChildProcessError("the helper process ended without its results")
-        done += got
-    return data
-
-
 def split(tasks: list) -> Iterator:
-    """``task() for task in tasks``, in task order.  Where the result due next
-    is the helper's and has not arrived, the caller runs its own next task
-    rather than wait.  A helper that ends without its results raises
-    ``ChildProcessError``.  The helper is killed and reaped when the iterator
-    ends or is closed: a consumer that may stop early closes it
+    """``task() for task in tasks``, in task order.  With a helper, the caller
+    runs its own task i + 1 before it takes the helper's result i, so it holds
+    at most one result of its own.  A helper that ends without its results
+    raises ``ChildProcessError``.  The helper is killed and reaped when the
+    iterator ends or is closed: a consumer that may stop early closes it
     (``contextlib.closing``), as a live traceback keeps it from collection."""
     pid = None
     if len(tasks) > 1 and _threads() == 1 and _idle_cpu():
@@ -77,41 +65,36 @@ def split(tasks: list) -> Iterator:
                 try:
                     os.close(r)
                     with open(w, "wb") as pipe:
-                        for i in range(1, len(tasks), 2):
-                            ok, _ = outcome = _outcome(tasks[i])
-                            data = pickle.dumps(outcome)
-                            pipe.write(len(data).to_bytes(8, "little"))
-                            pipe.write(data)
+                        for task in tasks[1::2]:
+                            ok, _ = outcome = _outcome(task)
+                            pickle.dump(outcome, pipe)
                             pipe.flush()
                             if not ok:  # nothing after a raise is yielded
                                 break
                 finally:
                     os._exit(0)  # no exit handlers, no flush of inherited buffers; the pipe tells the parent
             os.close(w)
-            ready = select.poll()  # unlike select.select, not limited to fds below 1024
-            ready.register(r, select.POLLIN)
-    own = iter(range(len(tasks)) if pid is None else range(0, len(tasks), 2))
-    outcomes: dict[int, tuple] = {}
-    arrived = 1  # the helper's next task
+            theirs = open(r, "rb")
+    if pid is None:
+        for task in tasks:
+            yield task()
+        return
     try:
+        mine = _outcome(tasks[0])
         for i in range(len(tasks)):
-            while i not in outcomes:
-                # the helper's result if it is due and readable, else the caller's next task
-                # (which is task i when i is the caller's), else wait for the helper
-                theirs = pid is not None and i % 2 == 1
-                if (theirs and ready.poll(0)) or (k := next(own, None)) is None:
-                    outcomes[arrived] = pickle.loads(_read(r, int.from_bytes(_read(r, 8), "little")))
-                    arrived += 2
-                else:
-                    outcomes[k] = _outcome(tasks[k])
-                    if not outcomes[k][0]:
-                        own = iter(())  # nothing after a raise is yielded
-            ok, value = outcomes.pop(i)
+            if i % 2 == 0:
+                ok, value = mine
+            else:
+                if i + 1 < len(tasks):
+                    mine = _outcome(tasks[i + 1])  # before the helper's result i
+                try:
+                    ok, value = pickle.load(theirs)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError("the helper process ended without its results") from None
             if not ok:
                 raise value
             yield value
     finally:
-        if pid is not None:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the helper's
-            os.waitpid(pid, 0)
+        theirs.close()
+        os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still the helper's
+        os.waitpid(pid, 0)

@@ -50,6 +50,29 @@ def _raising(i, failing):
     return task
 
 
+class Dying:
+    """Kills the process that pickles it, part-way through its stream."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+#: what the caller meets, in order, in the schedule test
+EVENTS = []
+
+
+def _loaded(i):
+    EVENTS.append(("load", i))
+    return i
+
+
+class Unpickled(int):
+    """An int whose unpickling records ``("load", it)`` in ``EVENTS``."""
+
+    def __reduce__(self):
+        return _loaded, (int(self),)
+
+
 def _outcome(failing):
     try:
         return list(split([_raising(i, failing) for i in range(N)]))
@@ -137,6 +160,15 @@ class TestSplit:
         assert forks == [1]
         assert_no_child_left()
 
+    def test_helper_that_dies_mid_result(self, forks):
+        # the helper has written the first MiB of result 1 when it dies
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ChildProcessError, match="ended without its results"):
+            list(split([lambda: 0, lambda: [bytes(1 << 20), Dying()]]))
+        assert forks == [1]
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+
     def test_raise_here_kills_the_helper(self, forks):
         # the helper gets task 1, which would outlast the test; task 0
         # raises here first, so the helper's outcome is not needed
@@ -168,6 +200,32 @@ class TestSplit:
         assert done[2][1] < done[1]
         assert done[1] - done[0] > 0.2  # task 1 slept in the helper meanwhile
         assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_caller_runs_task_i_plus_1_before_it_takes_result_i(self, helper, forks, monkeypatch):
+        # what the caller meets, in order: its own tasks as it runs them, the
+        # helper's results as it unpickles them, and each result as it yields
+        # it; the helper's tasks record only in the helper's memory
+        monkeypatch.setattr(_split, "_idle_cpu", lambda: helper)
+        EVENTS.clear()
+
+        def task(i):
+            EVENTS.append(("task", i))
+            return Unpickled(i)
+
+        for i in split([lambda i=i: task(i) for i in range(5)]):
+            EVENTS.append(("result", i))
+        if helper:
+            # the caller holds at most one result of its own
+            assert EVENTS == [
+                ("task", 0), ("result", 0),
+                ("task", 2), ("load", 1), ("result", 1), ("result", 2),
+                ("task", 4), ("load", 3), ("result", 3), ("result", 4),
+            ]
+        else:
+            assert EVENTS == [(kind, i) for i in range(5) for kind in ("task", "result")]
+        assert forks == ([1] if helper else [])
         assert_no_child_left()
 
     def test_consumer_that_raises_mid_stream_leaves_no_child(self, forks):
