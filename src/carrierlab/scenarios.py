@@ -403,12 +403,10 @@ def _build_fig10(cfg: ScenarioConfig):
     evm_a = evm_db(rec_a, stream_a)
     evm_b = evm_db(rec_b, stream_b)
 
-    # cross-stream leakage: transmit A alone, measure what lands in B's branch
-    # of the receiver just checked on the dual waveform, with its taps; a
-    # second isolation check would see stream A's lopsided extent alone
-    silent = ComplexSignal(np.zeros(stream_b.n), cfg.sample_rate_hz)
-    only_a = dual_modulate(DualMessage(stream_a, silent, cfg.guard_hz), cfg.f_c_hz)
-    leak_branch = apply_filter(complex_demodulate(only_a, cfg.f_c_hz), taps)
+    # cross-stream leakage: A alone on its band, measured in B's branch of the
+    # receiver just checked on the dual waveform, with its taps; a second
+    # isolation check would see stream A's lopsided extent alone
+    leak_branch = apply_filter(complex_demodulate(complex_modulate(stream_a, -cfg.f_c_hz), cfg.f_c_hz), taps)
     leak, a_ref = steady_pair(leak_branch, stream_a)
     leak_db = float(10.0 * np.log10(_sum_sq(leak) / _sum_sq(a_ref)))
 
@@ -621,22 +619,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> RunReport:
     report, files = execute_scenario(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # each CSV in two row pieces cut at a block boundary near its middle (one
-    # piece up to a block), for split to format while this process writes the
-    # files in order; sigio.csv_text is looked up on the module here, so that
-    # wrappers installed there for profiling see every piece
-    pieces = {}
-    for name, (kind, data) in files.items():
+    # each CSV in two halves cut at its middle row, for split to format while
+    # this process writes the files in order; sigio.csv_text is looked up on
+    # the module here, so that wrappers installed there for profiling see
+    # every half
+    halves = []
+    for kind, data in files.values():
         if kind != "text":
-            rows = len(sigio.SCHEMAS[kind].columns(data)[0])
-            cut = round(rows / (2 * sigio.BLOCK_ROWS)) * sigio.BLOCK_ROWS
-            bounds = (0, cut, None) if 0 < cut < rows else (0, None)
-            pieces[name] = [partial(sigio.csv_text, kind, data, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            cut = (len(sigio.SCHEMAS[kind].columns(data)[0]) + 1) // 2
+            halves += [partial(sigio.csv_text, kind, data, 0, cut), partial(sigio.csv_text, kind, data, cut)]
     try:
-        with contextlib.closing(split([task for tasks in pieces.values() for task in tasks])) as texts:
+        with contextlib.closing(split(halves)) as texts:
             for name, (kind, data) in files.items():
                 with open(out / name, "w", newline="") as fh:  # "\n" on every platform, as verify compares bytes
-                    fh.writelines([data] if kind == "text" else islice(texts, len(pieces[name])))
+                    fh.writelines([data] if kind == "text" else islice(texts, 2))
     except OSError:
         for name in files:
             with contextlib.suppress(OSError):  # e.g. a directory in the file's place

@@ -13,9 +13,9 @@ spectrum of a signal or pair it dumps); README.md gives the formulas that
 rebuild them.
 
 Reading checks the bytes (the header, at least one row, every line ended
-by ``\n``, no ``\r``, no blank line), then parses them with one
-``np.loadtxt``; only a file that fails is scanned row by row, to name its
-first bad row.
+by ``\n``, no ``\r``, no blank line, no whitespace and no value that
+starts with ``+``), then parses them with one ``np.loadtxt``; only a file
+that fails is scanned row by row, to name its first bad row.
 """
 
 from __future__ import annotations
@@ -36,12 +36,14 @@ from .spectrum import Spectrum
 #: per cell and raises peak memory
 BLOCK_ROWS = 256
 
+#: the bytes that ``np.loadtxt`` strips from a value and that ``repr`` never
+#: writes (``float`` strips the first four)
+_SPACES = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
 
 @dataclass(frozen=True)
 class Schema:
     header: str
-    #: the table's name in error messages
-    what: str
     #: one array per header column; integer columns are written as integers
     columns: Callable[[Any], tuple[np.ndarray, ...]]
 
@@ -51,26 +53,10 @@ class Schema:
 
 
 SCHEMAS = {
-    "signal": Schema(
-        "index,re,im",
-        "signal",
-        lambda s: (np.arange(s.n), s.samples.real, s.samples.imag),
-    ),
-    "spectrum": Schema(
-        "freq_hz,re,im",
-        "spectrum",
-        lambda sp: (sp.freq_axis_hz, sp.bins.real, sp.bins.imag),
-    ),
-    "pair": Schema(
-        "index,comp_y,comp_z",
-        "polarized pair",
-        lambda p: (np.arange(p.n), p.comp_y, p.comp_z),
-    ),
-    "taps": Schema(
-        "k,tap",
-        "filter taps",
-        lambda taps: (np.arange(len(taps)), np.asarray(taps, dtype=np.float64)),
-    ),
+    "signal": Schema("index,re,im", lambda s: (np.arange(s.n), s.samples.real, s.samples.imag)),
+    "spectrum": Schema("freq_hz,re,im", lambda sp: (sp.freq_axis_hz, sp.bins.real, sp.bins.imag)),
+    "pair": Schema("index,comp_y,comp_z", lambda p: (np.arange(p.n), p.comp_y, p.comp_z)),
+    "taps": Schema("k,tap", lambda taps: (np.arange(len(taps)), np.asarray(taps, dtype=np.float64))),
 }
 
 
@@ -134,6 +120,8 @@ def _fault(data: bytes, schema: Schema) -> str | None:
         cells = row.split(b",")
         if len(cells) != len(schema.names):
             return f"row {i} has {len(cells)} columns"
+        if any(b in row for b in _SPACES) or any(cell.startswith(b"+") for cell in cells):
+            return f"row {i} holds whitespace or a leading +"
         try:
             list(map(float, cells))
         except ValueError:
@@ -147,10 +135,13 @@ def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
     data = Path(path).read_bytes()
     head = schema.header.encode() + b"\n"
     numpy_error = None
-    # loadtxt skips blank lines, ends a row at "\r" and takes a last row
-    # without its "\n", so the bytes are checked for those first
+    # loadtxt skips blank lines, ends a row at "\r", takes a last row without
+    # its "\n" and strips whitespace and a leading "+" from a value, so the
+    # bytes are checked for those first; only a file holding a "+" is searched
+    # for the pairs, whose "," and "\n" are frequent
     framed = data.startswith(head) and len(data) > len(head) and data.endswith(b"\n")
-    if framed and b"\r" not in data and b"\n\n" not in data:
+    spelled = not any(b in data for b in _SPACES) and not (b"+" in data and (b",+" in data or b"\n+" in data))
+    if framed and spelled and b"\r" not in data and b"\n\n" not in data:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
         try:
             rows = np.loadtxt(text, delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=np.float64)
@@ -158,7 +149,7 @@ def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
                 return dict(zip(schema.names, rows.T))
         except ValueError as exc:
             numpy_error = exc
-    raise ValueError(f"malformed {schema.what} CSV: {_fault(data, schema) or numpy_error}")
+    raise ValueError(f"malformed {kind} CSV: {_fault(data, schema) or numpy_error}")
 
 
 def read_signal_csv(path: Path) -> dict[str, np.ndarray]:

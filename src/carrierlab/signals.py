@@ -267,8 +267,6 @@ def energy(s: ComplexSignal) -> float:
 def _raised_cosine_pulse(samples_per_symbol: int, rolloff: float) -> np.ndarray:
     """Time-domain raised-cosine pulse, peak 1 at t=0, truncated to
     ``RC_SPAN_SYMBOLS`` symbol durations on each side."""
-    if samples_per_symbol < 1:
-        raise ValueError("samples_per_symbol must be at least 1")
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError("rolloff must lie in [0, 1]")
     half = RC_SPAN_SYMBOLS * samples_per_symbol

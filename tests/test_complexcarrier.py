@@ -417,6 +417,13 @@ class TestDualDemodulate:
         with pytest.raises(ValueError, match="cannot isolate one band"):
             dual_demodulate(dual, F_C, wide)
 
+    @pytest.mark.parametrize("f_c", [0.0, -F_C])
+    def test_carrier_must_be_positive(self, f_c):
+        a = _shaped_baseband(seed=7)
+        dual = dual_modulate(DualMessage(a, a, GUARD), F_C)
+        with pytest.raises(ValueError, match="^dual demodulation carrier frequency must be positive$"):
+            dual_demodulate(dual, f_c, LPF)
+
 
 class TestIsolationRule:
     """Both demodulators keep one rule: the low-pass stopband, from cutoff +

@@ -74,6 +74,10 @@ class TestPairInvariants:
         with pytest.raises(ValueError):
             PolarizedPair(np.ones(4), np.ones(5), FS)
 
+    def test_empty_pair_rejected(self):
+        with pytest.raises(ValueError, match="^a polarized pair must contain at least one sample$"):
+            PolarizedPair(np.ones(0), np.ones(0), FS)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             PolarizedPair(np.array([1.0, np.inf]), np.ones(2), FS)

@@ -45,6 +45,8 @@ class TestScenarioConfig:
         [
             (dict(scenario="fig8"), "unknown scenario"),
             (dict(n_samples=1000), "power of two"),
+            (dict(sample_rate_hz=0.0), "sample_rate_hz must be positive"),
+            (dict(symbol_rate_hz=-1024.0), "symbol_rate_hz must be positive"),
             (dict(f_c_hz=-256.0), "f_c_hz must be positive"),  # a domain check; the band is the chain's
             (dict(symbol_rate_hz=100.0), "integer multiple"),
             (dict(rolloff=2.0), "rolloff"),
@@ -497,6 +499,23 @@ class TestVerifyRun:
                 "config.txt", r"\Z", "# edited\n",
                 "config.txt line 17: stored '# edited', recomputed nothing", id="config-comment",
             ),
+            # a value respelled as the same double: loadtxt strips the
+            # whitespace and the "+", but run never writes them
+            pytest.param(
+                "spectrum_baseband.csv", r"^(-?\d[^,\n]*),", r"\1, ",
+                "artifact spectrum_baseband.csv failed schema check: malformed spectrum CSV: "
+                "row 1 holds whitespace or a leading +", id="csv-space",
+            ),
+            pytest.param(
+                "signal_demodulated.csv", r"^(0,.*)$", "\\1\t",
+                "artifact signal_demodulated.csv failed schema check: malformed signal CSV: "
+                "row 1 holds whitespace or a leading +", id="csv-tab",
+            ),
+            pytest.param(
+                "signal_demodulated.csv", r"^1,", "+1,",
+                "artifact signal_demodulated.csv failed schema check: malformed signal CSV: "
+                "row 2 holds whitespace or a leading +", id="csv-leading-plus",
+            ),
         ],
     )
     def test_tampered_measurement_detected(self, fig9_run, name, pattern, replacement, expected):
@@ -555,7 +574,8 @@ class TestVerifyRun:
 
     def test_run_in_the_older_schema_fails_verify(self, fig9_run):
         # the five- and four-column tables runs wrote before magnitude, energy
-        # and t_s were dropped; verify names each such CSV by its header
+        # and t_s were dropped; verify names each such CSV, its kind and the
+        # header it expected
         older = {
             "spectrum": (
                 "freq_hz,re,im,magnitude,energy",
@@ -574,9 +594,9 @@ class TestVerifyRun:
             header, columns = older[kind]
             rows = zip(*(col.tolist() for col in columns(data)))
             (fig9_run / name).write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
-            schema = sigio.SCHEMAS[kind]
             expected.append(
-                f"artifact {name} failed schema check: malformed {schema.what} CSV: expected header {schema.header!r}"
+                f"artifact {name} failed schema check: malformed {kind} CSV: "
+                f"expected header {sigio.SCHEMAS[kind].header!r}"
             )
         ok, messages = verify_run(fig9_run)
         assert not ok

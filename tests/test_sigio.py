@@ -119,9 +119,8 @@ ROWS = st.one_of(
 
 class TestPieces:
     @given(st.sampled_from(sorted(sigio.SCHEMAS)), ROWS, st.integers(0, 2**32 - 1), st.data())
-    def test_pieces_cut_at_block_boundaries_join_to_the_file(self, kind, n, seed, data):
-        boundaries = range(sigio.BLOCK_ROWS, n + 1, sigio.BLOCK_ROWS)
-        cuts = data.draw(st.sets(st.sampled_from(boundaries)) if boundaries else st.just(set()))
+    def test_pieces_cut_at_any_rows_join_to_the_file(self, kind, n, seed, data):
+        cuts = data.draw(st.sets(st.integers(1, n), max_size=5))
         table = _table(kind, n, seed)
         bounds = [0, *sorted(cuts), None]
         pieces = [sigio.csv_text(kind, table, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -177,6 +176,12 @@ class TestParser:
             # the first malformed row is named, whatever is wrong with later ones
             ({2999: "2999,oops,0.0", 3000: "3000,0.0"}, "row 2999 is not numeric"),
             ({1500: "1500,1.0", 3000: "3000,x,1.0"}, "row 1500 has 2 columns"),
+            # a respelled value that loadtxt reads as the number run wrote
+            ({3000: "2999, 2999.0,1.0"}, r"row 3000 holds whitespace or a leading \+"),
+            ({3000: "2999,2999.0\t,1.0"}, r"row 3000 holds whitespace or a leading \+"),
+            ({3000: "2999,2999.0,1.0\x1f"}, r"row 3000 holds whitespace or a leading \+"),
+            ({3000: "2999,+2999.0,1.0"}, r"row 3000 holds whitespace or a leading \+"),
+            ({3000: "+2999,2999.0,1.0"}, r"row 3000 holds whitespace or a leading \+"),
         ],
     )
     def test_malformed_row_past_first_block_named(self, tmp_path, bad_rows, message):

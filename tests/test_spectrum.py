@@ -216,6 +216,21 @@ class TestConjugateSymmetry:
         assert 0.2 < reference < 0.9
         assert conj_mirror_correlation(sp) == pytest.approx(reference, rel=1e-12)
 
+    @pytest.mark.parametrize("measure", [conj_mirror_error, conj_mirror_correlation])
+    def test_two_bins_have_no_mirror_pair(self, measure):
+        # bins -fs/2 and 0: no +f bin mirrors a -f bin
+        sp = dft_two_sided(_signal([1.0, 2.0]))
+        with pytest.raises(ValueError, match="^spectrum too short for mirror comparison$"):
+            measure(sp)
+
+    def test_all_zero_spectrum_has_no_mirror_error(self):
+        with pytest.raises(ValueError, match="^all-zero spectrum has no mirror structure$"):
+            conj_mirror_error(dft_two_sided(_signal(np.zeros(N))))
+
+    def test_correlation_without_energy_off_dc_is_zero(self):
+        # a constant: all its energy in the DC bin, none in a mirrored pair
+        assert conj_mirror_correlation(dft_two_sided(_signal(np.ones(N)))) == 0.0
+
 
 class TestShiftTheorem:
     @pytest.mark.parametrize("m", [1, 5, -17])

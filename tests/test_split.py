@@ -316,7 +316,7 @@ class TestSplitRuns:
 
     def test_run_splits_each_csv_into_two_row_pieces(self, tmp_path, forks, monkeypatch):
         # fig5 at 4096 samples: three tables of 4096 rows cut at row 2048, and
-        # 119 filter taps in one piece; the caller formats tasks 0, 2, 4 and 6
+        # 119 filter taps cut at row 60; the caller formats tasks 0, 2, 4 and 6
         formatted = []
         text = sigio.csv_text
 
@@ -327,7 +327,7 @@ class TestSplitRuns:
         monkeypatch.setattr(sigio, "csv_text", recording)
         out = tmp_path / "fig5"
         run_scenario(ScenarioConfig(scenario="fig5", n_samples=4096), out)
-        assert formatted == [("spectrum", 0, 2048), ("spectrum", 0, 2048), ("signal", 0, 2048), ("taps", 0, None)]
+        assert formatted == [("spectrum", 0, 2048), ("spectrum", 0, 2048), ("signal", 0, 2048), ("taps", 0, 60)]
         assert forks == [1]
         assert_no_child_left()
         monkeypatch.setattr(sigio, "csv_text", text)
