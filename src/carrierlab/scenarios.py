@@ -646,84 +646,45 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-def _artifact_divergence(stored: dict[str, np.ndarray], fresh: dict[str, np.ndarray]) -> str | None:
-    """Where ``stored`` departs from ``fresh``, value for value, comparing
-    float64 bits: its first diverging row, naming the column and both
-    values, then how many values differ, how many of them are stored as nan
-    or inf, and the largest finite difference beside its column's peak
-    magnitude, or that they differ only in the sign of zero; None when every
-    value is bitwise equal."""
-    n_stored = len(next(iter(stored.values())))
-    n_fresh = len(next(iter(fresh.values())))
-    if n_stored != n_fresh:
-        return f"has {n_stored} rows, a fresh execution {n_fresh}"
-    # column -> the rows where it differs, in column order
-    diverging: dict[str, np.ndarray] = {}
-    for column, values in stored.items():
-        rows = np.flatnonzero(_bits(values) != _bits(fresh[column]))
-        if rows.size:
-            diverging[column] = rows
-    if not diverging:
-        return None
-    column, rows = min(diverging.items(), key=lambda item: item[1][0])
-    row = rows[0]
-    count = sum(r.size for r in diverging.values())
-    # fresh values are finite, so a stored nan or inf differs by no amount to rank
-    finite = {c: r[np.isfinite(stored[c][r])] for c, r in diverging.items()}
-    largest = {c: float(np.max(np.abs(stored[c][r] - fresh[c][r]))) for c, r in finite.items() if r.size}
-    not_finite = count - sum(r.size for r in finite.values())
-    spread = f", {not_finite} of them not finite" if not_finite else ""
-    worst = max(largest, key=largest.__getitem__, default=None)
-    if worst is not None and largest[worst] == 0.0:
-        # bits that differ where the numbers do not: -0.0 against 0.0
-        spread += f"{', the others' if not_finite else ','} only in the sign of zero"
-    elif worst is not None:
-        spread += (
-            f", the largest by {fmt(largest[worst])} in column {worst}, "
-            f"whose peak magnitude is {fmt(np.max(np.abs(fresh[worst])))}"
-        )
-    return (
-        f"row {row + 1} column {column}: stored {fmt(stored[column][row])}, "
-        f"recomputed {fmt(fresh[column][row])}; {count} of {n_stored * len(stored)} values differ{spread}"
-    )
-
-
-def _text_divergence(stored: bytes, fresh: str) -> str | None:
-    """None when ``stored`` is the bytes of ``fresh``; else its first line
-    that differs, with both texts, or, when every line matches, that the
-    line endings or the final newline differ."""
+def _text_divergence(name: str, stored: bytes, fresh: str) -> str | None:
+    """None when ``stored``, the bytes of file ``name``, are those of
+    ``fresh``; else the message naming its first line that differs, with
+    both texts, or, when every line matches, saying that the line endings or
+    the final newline differ.  A line ends at ``\n``, the one line break
+    ``run`` writes, or at ``\r\n``."""
     if stored == fresh.encode():
         return None
     # undecodable bytes become U+FFFD, which no fresh line contains
-    lines = stored.decode(errors="replace").splitlines()
-    for i, (line, want) in enumerate(zip_longest(lines, fresh.splitlines()), start=1):
+    text = stored.decode(errors="replace").replace("\r\n", "\n")
+    # the empty piece after a final "\n" is no line; slicing the list copies no text
+    lines, wants = (t.split("\n")[: -1 if t.endswith("\n") else None] for t in (text, fresh))
+    for i, (line, want) in enumerate(zip_longest(lines, wants), start=1):
         if line != want:
             recomputed = "nothing" if want is None else repr(want)
-            return f"line {i}: stored {'nothing' if line is None else repr(line)}, recomputed {recomputed}"
-    return "matches line for line, but its line endings or final newline differ"
+            return f"{name} line {i}: stored {'nothing' if line is None else repr(line)}, recomputed {recomputed}"
+    return f"{name} matches line for line, but its line endings or final newline differ"
 
 
 def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str | None]:
     """``read(out / name)`` and None, or None and the one message that names
-    why the file did not load."""
+    why the file could not be read."""
     try:
         return read(out / name), None
     except FileNotFoundError:
         return None, f"missing artifact: {name}"
     except OSError as exc:
         return None, f"artifact {name} unreadable: {exc}"
-    except ValueError as exc:
-        return None, f"artifact {name} failed schema check: {exc}"
 
 
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     """Re-check an existing run against the table of files of a fresh
     execution of its stored configuration.  Each text file (``config.txt``,
     then ``report.txt``) must hold the bytes of its entry.  Every CSV must
-    exist, parse, and hold the recomputed table value for value, bit for
-    bit, and every verdict must pass.  A file that is missing or cannot be
-    read or parsed fails the run with one message naming it, and so does
-    every entry of ``out_dir`` that is not in the table."""
+    parse and hold the recomputed table value for value, bit for bit, and
+    every verdict must pass.  A file that differs gets one message naming
+    its first differing line (for a CSV, against the text ``run`` writes); a
+    file that is missing or cannot be read gets one naming the file, and so
+    does every entry of ``out_dir`` that is not in the table."""
     out = Path(out_dir)
     stored = {}
     for name in ("report.txt", "config.txt"):
@@ -736,17 +697,19 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
 
-    messages: list[str] = []
-    for name, (kind, data) in files.items():
-        if kind == "text" and (divergence := _text_divergence(stored[name], data)) is not None:
-            messages.append(f"{name} {divergence}")
+    texts = [_text_divergence(name, stored[name], data) for name, (kind, data) in files.items() if kind == "text"]
+    messages = [message for message in texts if message is not None]
 
     def check(name: str, kind: str, data: Any) -> str | None:
-        parsed, fault = _load(out, name, getattr(sigio, f"read_{kind}_csv"))  # on the module, as in run_scenario
-        if fault is not None:
+        try:
+            parsed, fault = _load(out, name, getattr(sigio, f"read_{kind}_csv"))  # on the module, as in run_scenario
+        except ValueError:  # malformed: its first differing line, below, says where
+            parsed, fault = None, None
+        columns = sigio.columns(kind, data).items()
+        if fault or (parsed is not None and all(np.array_equal(_bits(parsed[c]), _bits(v)) for c, v in columns)):
             return fault
-        divergence = _artifact_divergence(parsed, sigio.columns(kind, data))
-        return None if divergence is None else f"artifact {name} {divergence}"
+        stored_csv, fault = _load(out, name, Path.read_bytes)
+        return fault or _text_divergence(name, stored_csv, sigio.csv_text(kind, data))
 
     checks = list(split([partial(check, name, kind, data) for name, (kind, data) in files.items() if kind != "text"]))
     messages.extend(message for message in checks if message is not None)

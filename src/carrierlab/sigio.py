@@ -14,8 +14,8 @@ rebuild them.
 
 Reading checks the bytes (the header, at least one row, every line ended
 by ``\n``, no ``\r``, no blank line, no whitespace and no value that
-starts with ``+``), then parses them with one ``np.loadtxt``; only a file
-that fails is scanned row by row, to name its first bad row.
+starts with ``+``) and parses them with one ``np.loadtxt``; a file that
+fails raises one ``ValueError``, ``malformed <kind> CSV``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .spectrum import Spectrum
 #: per cell and raises peak memory
 BLOCK_ROWS = 256
 
-#: the bytes that ``np.loadtxt`` strips from a value and that ``repr`` never
-#: writes (``float`` strips the first four)
+#: the bytes that ``np.loadtxt`` strips from a value and that ``repr`` never writes
 _SPACES = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
@@ -101,55 +100,29 @@ def taps_csv_text(taps: np.ndarray) -> str:
     return csv_text("taps", taps)
 
 
-def _fault(data: bytes, schema: Schema) -> str | None:
-    """Why ``data`` is no table of ``schema``: its first bad data row,
-    1-based, or what the whole file lacks; None when every row holds
-    numbers.  Run only on a file already rejected."""
-    header, *lines = data.split(b"\n")
-    if header.removesuffix(b"\r") != schema.header.encode():
-        return f"expected header {schema.header!r}"
-    if header.endswith(b"\r"):
-        return "carriage return in the header"
-    # what follows the last "\n": empty unless the final newline is missing
-    *rows, tail = lines or [b""]
-    if not rows and not tail:
-        return "no data rows"
-    for i, row in enumerate(rows + [tail] if tail else rows, start=1):
-        if b"\r" in row:
-            return f"carriage return in row {i}"
-        cells = row.split(b",")
-        if len(cells) != len(schema.names):
-            return f"row {i} has {len(cells)} columns"
-        if any(b in row for b in _SPACES) or any(cell.startswith(b"+") for cell in cells):
-            return f"row {i} holds whitespace or a leading +"
-        try:
-            list(map(float, cells))
-        except ValueError:
-            return f"row {i} is not numeric"
-    return "no final newline" if tail else None
-
-
 def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
-    """Parse an artifact of ``kind`` into its columns, by header name."""
+    """Parse an artifact of ``kind`` into its columns, by header name; a file
+    that is no table ``run`` could write raises ``ValueError``."""
     schema = SCHEMAS[kind]
     data = Path(path).read_bytes()
     head = schema.header.encode() + b"\n"
-    numpy_error = None
     # loadtxt skips blank lines, ends a row at "\r", takes a last row without
     # its "\n" and strips whitespace and a leading "+" from a value, so the
     # bytes are checked for those first; only a file holding a "+" is searched
-    # for the pairs, whose "," and "\n" are frequent
-    framed = data.startswith(head) and len(data) > len(head) and data.endswith(b"\n")
+    # for the pairs, whose "," and "\n" are frequent.  A blank line shows as
+    # one row fewer than the "\n"s after the header; a body that starts with
+    # one is rejected first, as loadtxt warns on a body of blank lines alone
+    framed = data.startswith(head) and data[len(head) : len(head) + 1] not in (b"", b"\n") and data.endswith(b"\n")
     spelled = not any(b in data for b in _SPACES) and not (b"+" in data and (b",+" in data or b"\n+" in data))
-    if framed and spelled and b"\r" not in data and b"\n\n" not in data:
+    if framed and spelled and b"\r" not in data:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
         try:
             rows = np.loadtxt(text, delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=np.float64)
-            if rows.shape[1] == len(schema.names):
-                return dict(zip(schema.names, rows.T))
         except ValueError as exc:
-            numpy_error = exc
-    raise ValueError(f"malformed {kind} CSV: {_fault(data, schema) or numpy_error}")
+            raise ValueError(f"malformed {kind} CSV") from exc
+        if rows.shape == (data.count(b"\n") - 1, len(schema.names)):
+            return dict(zip(schema.names, rows.T))
+    raise ValueError(f"malformed {kind} CSV")
 
 
 def read_signal_csv(path: Path) -> dict[str, np.ndarray]:

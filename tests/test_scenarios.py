@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import carrierlab
 from carrierlab import ScenarioConfig, SCENARIOS, execute_scenario, run_scenario, verify_run
@@ -456,7 +458,7 @@ class TestVerifyRun:
         (fig9_run / "spectrum_modulated.csv").write_text("freq_hz,re\n0,0\n")
         ok, messages = verify_run(fig9_run)
         assert not ok
-        assert any("schema" in m for m in messages)
+        assert any("spectrum_modulated.csv line 1: stored 'freq_hz,re'" in m for m in messages)
 
     # fig9's report.txt: scenario, digest, four artifacts, three energies
     # (lines 7-9), three checks (lines 10-12) and the verdict line
@@ -503,18 +505,15 @@ class TestVerifyRun:
             # whitespace and the "+", but run never writes them
             pytest.param(
                 "spectrum_baseband.csv", r"^(-?\d[^,\n]*),", r"\1, ",
-                "artifact spectrum_baseband.csv failed schema check: malformed spectrum CSV: "
-                "row 1 holds whitespace or a leading +", id="csv-space",
+                "spectrum_baseband.csv line 2: stored ", id="csv-space",
             ),
             pytest.param(
                 "signal_demodulated.csv", r"^(0,.*)$", "\\1\t",
-                "artifact signal_demodulated.csv failed schema check: malformed signal CSV: "
-                "row 1 holds whitespace or a leading +", id="csv-tab",
+                "signal_demodulated.csv line 2: stored ", id="csv-tab",
             ),
             pytest.param(
                 "signal_demodulated.csv", r"^1,", "+1,",
-                "artifact signal_demodulated.csv failed schema check: malformed signal CSV: "
-                "row 2 holds whitespace or a leading +", id="csv-leading-plus",
+                "signal_demodulated.csv line 3: stored '+1,", id="csv-leading-plus",
             ),
         ],
     )
@@ -574,8 +573,7 @@ class TestVerifyRun:
 
     def test_run_in_the_older_schema_fails_verify(self, fig9_run):
         # the five- and four-column tables runs wrote before magnitude, energy
-        # and t_s were dropped; verify names each such CSV, its kind and the
-        # header it expected
+        # and t_s were dropped; verify names each such CSV by its header line
         older = {
             "spectrum": (
                 "freq_hz,re,im,magnitude,energy",
@@ -594,10 +592,7 @@ class TestVerifyRun:
             header, columns = older[kind]
             rows = zip(*(col.tolist() for col in columns(data)))
             (fig9_run / name).write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
-            expected.append(
-                f"artifact {name} failed schema check: malformed {kind} CSV: "
-                f"expected header {sigio.SCHEMAS[kind].header!r}"
-            )
+            expected.append(f"{name} line 1: stored {header!r}, recomputed {sigio.SCHEMAS[kind].header!r}")
         ok, messages = verify_run(fig9_run)
         assert not ok
         assert messages == expected
@@ -639,15 +634,14 @@ class TestVerifyRun:
         path.write_text("\n".join(lines) + "\n")
         ok, messages = verify_run(tmp_path)
         assert not ok
-        column = lines[0].split(",")[cell]
-        assert any(f"{name} row 37 column {column}:" in m for m in messages), messages
+        assert any(m.startswith(f"{name} line 38: stored {lines[37]!r}, recomputed ") for m in messages), messages
 
     def test_truncated_artifact_detected(self, fig9_run):
         path = fig9_run / "signal_demodulated.csv"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
         ok, messages = verify_run(fig9_run)
         assert not ok
-        assert any("signal_demodulated.csv has 8191 rows" in m for m in messages), messages
+        assert any(m.startswith("signal_demodulated.csv line 8193: stored nothing, recomputed ") for m in messages), messages
 
     def test_files_a_fresh_run_does_not_write_are_named(self, tmp_path, capsys):
         # fig6 writes fig9's spectrum_baseband.csv and spectrum_modulated.csv
@@ -678,7 +672,7 @@ class TestVerifyRun:
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
         assert printed == [
-            "artifact signal_demodulated.csv failed schema check: malformed signal CSV: no data rows",
+            "signal_demodulated.csv line 2: stored nothing, recomputed '0,1.0,-3.294516363338534e-17'",
             "verify: fail",
         ]
 
@@ -707,6 +701,20 @@ def _blank_line_at_row(data: bytes, row: int) -> bytes:
     return b"\n".join(lines)
 
 
+@pytest.fixture(scope="module")
+def edit_runs(tmp_path_factory):
+    """A fig9 and a polarization run at 4096 samples, each as its directory
+    and its CSVs' kinds by name, in name order; a test that edits a file
+    puts its bytes back."""
+    runs = {}
+    for scenario in ("fig9", "polarization"):
+        out = tmp_path_factory.mktemp(scenario)
+        run_scenario(ScenarioConfig(scenario=scenario, n_samples=4096), out)
+        _, files = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096))
+        runs[scenario] = out, {name: kind for name, (kind, _) in sorted(files.items()) if kind != "text"}
+    return runs
+
+
 class TestVerifyIsExact:
     """Changes far below any 1e-9 band, each caught by verify."""
 
@@ -722,13 +730,11 @@ class TestVerifyIsExact:
                 freq, _, im = row.split(",")
                 rows[i] = f"{freq},1e-06,{im}"
         path.write_text("\n".join([header, *rows]) + "\n")
-        others = np.delete(fresh, peak)
         code, lines = _verify_output(tmp_path, capsys)
         assert code == 1
+        freq, _, im = rows[0].split(",")
         assert lines == [
-            f"artifact {name} row 1 column re: stored 1e-06, recomputed {sigio.fmt(fresh[0])}; "
-            f"4095 of {3 * 4096} values differ, the largest by {sigio.fmt(np.max(np.abs(1e-06 - others)))} "
-            f"in column re, whose peak magnitude is {sigio.fmt(abs(fresh[peak]))}",
+            f"{name} line 2: stored '{freq},1e-06,{im}', recomputed '{freq},{sigio.fmt(fresh[0])},{im}'",
             "verify: fail",
         ]
 
@@ -747,9 +753,7 @@ class TestVerifyIsExact:
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
         assert printed == [
-            f"artifact {name} row 37 column re: stored {sigio.fmt(stored)}, recomputed {sigio.fmt(fresh[36])}; "
-            f"1 of {3 * 8192} values differ, the largest by {sigio.fmt(abs(stored - fresh[36]))} "
-            f"in column re, whose peak magnitude is {sigio.fmt(np.max(np.abs(fresh)))}",
+            f"{name} line 38: stored {lines[37]!r}, recomputed '{cells[0]},{sigio.fmt(fresh[36])},{cells[2]}'",
             "verify: fail",
         ]
 
@@ -781,18 +785,18 @@ class TestVerifyIsExact:
             ),
             pytest.param(
                 "spectrum_baseband.csv", lambda data: data.replace(b"\n", b"\r\n"),
-                "artifact spectrum_baseband.csv failed schema check: "
-                "malformed spectrum CSV: carriage return in the header",
+                "spectrum_baseband.csv matches line for line, but its line endings or final newline differ",
                 id="csv-with-crlf",
             ),
             pytest.param(
                 "signal_demodulated.csv", lambda data: data.removesuffix(b"\n"),
-                "artifact signal_demodulated.csv failed schema check: malformed signal CSV: no final newline",
+                "signal_demodulated.csv matches line for line, but its line endings or final newline differ",
                 id="csv-without-final-newline",
             ),
             pytest.param(
                 "spectrum_modulated.csv", lambda data: _blank_line_at_row(data, 101),
-                "artifact spectrum_modulated.csv failed schema check: malformed spectrum CSV: row 101 has 1 columns",
+                "spectrum_modulated.csv line 102: stored '', "
+                "recomputed '-31168.0,0.4983359335222344,0.2639538217604035'",
                 id="csv-with-blank-line",
             ),
         ],
@@ -810,14 +814,13 @@ class TestVerifyIsExact:
         [
             pytest.param(
                 "polarization", "spectrum_received_l.csv", r"^0\.0,", "-0.0,",
-                "row 2049 column freq_hz: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
-                "only in the sign of zero",
+                "line 2050: stored '-0.0,1.6498352895596602,3.8836390072470177', "
+                "recomputed '0.0,1.6498352895596602,3.8836390072470177'",
                 id="polarization-dc-frequency",
             ),
             pytest.param(
                 "fig9", "signal_demodulated.csv", r"^0,", "-0,",
-                "row 1 column index: stored -0.0, recomputed 0.0; 1 of 12288 values differ, "
-                "only in the sign of zero",
+                "line 2: stored '-0,1.0,-3.294516363338534e-17', recomputed '0,1.0,-3.294516363338534e-17'",
                 id="fig9-index",
             ),
         ],
@@ -832,7 +835,7 @@ class TestVerifyIsExact:
         path.write_text(edited)
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
-        assert printed == [f"artifact {name} {expected}", "verify: fail"]
+        assert printed == [f"{name} {expected}", "verify: fail"]
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -840,34 +843,32 @@ class TestVerifyIsExact:
             pytest.param(
                 {5: "nan", 9: "5.0"},
                 lambda fresh: (
-                    f"row 5 column re: stored nan, recomputed {sigio.fmt(fresh['re'][4])}; "
-                    f"2 of 12288 values differ, 1 of them not finite, "
-                    f"the largest by {sigio.fmt(abs(5.0 - fresh['re'][8]))} in column re, "
-                    f"whose peak magnitude is {sigio.fmt(np.max(np.abs(fresh['re'])))}"
+                    f"line 6: stored '4,nan,{sigio.fmt(fresh['im'][4])}', "
+                    f"recomputed '4,{sigio.fmt(fresh['re'][4])},{sigio.fmt(fresh['im'][4])}'"
                 ),
                 id="nan-beside-a-real-difference",
             ),
             pytest.param(
                 {5: "inf", 9: "-inf"},
                 lambda fresh: (
-                    f"row 5 column re: stored inf, recomputed {sigio.fmt(fresh['re'][4])}; "
-                    "2 of 12288 values differ, 2 of them not finite"
+                    f"line 6: stored '4,inf,{sigio.fmt(fresh['im'][4])}', "
+                    f"recomputed '4,{sigio.fmt(fresh['re'][4])},{sigio.fmt(fresh['im'][4])}'"
                 ),
                 id="only-infinities",
             ),
             pytest.param(
                 {1: "-0", 5: "nan"},
                 lambda fresh: (
-                    "row 1 column index: stored -0.0, recomputed 0.0; "
-                    "2 of 12288 values differ, 1 of them not finite, the others only in the sign of zero"
+                    f"line 2: stored '-0,{sigio.fmt(fresh['re'][0])},{sigio.fmt(fresh['im'][0])}', "
+                    f"recomputed '0,{sigio.fmt(fresh['re'][0])},{sigio.fmt(fresh['im'][0])}'"
                 ),
                 id="nan-beside-a-signed-zero",
             ),
         ],
     )
     def test_stored_values_that_are_not_finite(self, tmp_path, capsys, rows, expected):
-        # a stored nan differs from every number by nan; the largest
-        # difference is taken over the finite values, the others counted
+        # a stored nan or inf differs from every fresh value, which is finite;
+        # its line is named like any other
         name = "signal_demodulated.csv"
         run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
         path = tmp_path / name
@@ -880,7 +881,56 @@ class TestVerifyIsExact:
         path.write_text("\n".join(lines) + "\n")
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
-        assert printed == [f"artifact {name} {expected(fresh)}", "verify: fail"]
+        assert printed == [f"{name} {expected(fresh)}", "verify: fail"]
+
+    @given(
+        scenario=st.sampled_from(["fig9", "polarization"]),
+        file=st.integers(0, 2),
+        how=st.sampled_from(["swap", "insert", "delete"]),
+        line=st.integers(0, 4097),
+        col=st.integers(0, 64),
+        byte=st.sampled_from(b"0123456789.-e,\n\r\x0c +") | st.integers(0, 255),
+    )
+    # a form feed or a "\r" inserted before a "\n", a "\n" swapped for a
+    # "\r", the final newline deleted, and a "\n" or a digit appended
+    @example(scenario="fig9", file=0, how="insert", line=1, col=64, byte=0x0C)
+    @example(scenario="fig9", file=1, how="insert", line=7, col=64, byte=0x0D)
+    @example(scenario="polarization", file=0, how="swap", line=5, col=64, byte=0x0D)
+    @example(scenario="polarization", file=2, how="delete", line=4096, col=64, byte=0)
+    @example(scenario="fig9", file=2, how="insert", line=4097, col=0, byte=0x0A)
+    @example(scenario="fig9", file=2, how="insert", line=4097, col=0, byte=0x30)
+    def test_one_byte_edit_named_by_its_line(self, edit_runs, scenario, file, how, line, col, byte):
+        # one byte swapped, inserted or deleted at offset p, column ``col``
+        # of line ``line`` (0 is the header) or its end: verify passes
+        # exactly when the edited file parses to the same bits, and else
+        # names the line holding p, or says that only line endings differ
+        out, kinds = edit_runs[scenario]
+        name, kind = list(kinds.items())[file]
+        path = out / name
+        original = path.read_bytes()
+        lines = original.split(b"\n")
+        start = sum(len(text) + 1 for text in lines[:line])
+        p = min(start + min(col, len(lines[line])), len(original) - (how != "insert"))
+        edited = original[:p] + (b"" if how == "delete" else bytes([byte])) + original[p + (how != "insert") :]
+        read = getattr(sigio, f"read_{kind}_csv")
+        want = [values.tobytes() for values in read(path).values()]
+        try:
+            path.write_bytes(edited)
+            ok, messages = verify_run(out)
+            try:
+                same = [values.tobytes() for values in read(path).values()] == want
+            except ValueError:
+                same = False
+        finally:
+            path.write_bytes(original)
+        if same:
+            assert ok and messages == [], messages
+        else:
+            at = edited[:p].count(b"\n") + 1
+            assert not ok and len(messages) == 1, messages
+            assert messages[0].startswith(f"{name} line {at}: stored ") or messages[0] == (
+                f"{name} matches line for line, but its line endings or final newline differ"
+            ), messages
 
     def test_runs_verify_in_a_new_process_with_other_blas_threads(self, tmp_path):
         # each run is written with one BLAS thread and verified, cold, with two
