@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, zip_longest
@@ -651,68 +651,62 @@ def _text_divergence(name: str, stored: bytes, fresh: str) -> str | None:
     ``fresh``; else the message naming its first line that differs, with
     both texts, or, when every line matches, saying that the line endings or
     the final newline differ.  A line ends at ``\n``, the one line break
-    ``run`` writes, or at ``\r\n``."""
-    if stored == fresh.encode():
+    ``run`` writes, or at ``\r\n``; the texts are read a line at a time."""
+    want = fresh.encode()
+    if stored == want:
         return None
-    # undecodable bytes become U+FFFD, which no fresh line contains
-    text = stored.decode(errors="replace").replace("\r\n", "\n")
-    # the empty piece after a final "\n" is no line; slicing the list copies no text
-    lines, wants = (t.split("\n")[: -1 if t.endswith("\n") else None] for t in (text, fresh))
-    for i, (line, want) in enumerate(zip_longest(lines, wants), start=1):
-        if line != want:
-            recomputed = "nothing" if want is None else repr(want)
-            return f"{name} line {i}: stored {'nothing' if line is None else repr(line)}, recomputed {recomputed}"
+    # the empty text is one empty line, as "\n" is
+    streams = io.BytesIO(stored.replace(b"\r\n", b"\n") or b"\n"), io.BytesIO(want)
+    for i, (line, wanted) in enumerate(zip_longest(*streams), start=1):
+        if line != wanted:  # by their bytes, then without a final "\n"
+            line, wanted = (None if t is None else t.removesuffix(b"\n") for t in (line, wanted))
+        if line != wanted:
+            # undecodable bytes become U+FFFD, which no fresh line contains
+            shown = ["nothing" if t is None else repr(t.decode(errors="replace")) for t in (line, wanted)]
+            return f"{name} line {i}: stored {shown[0]}, recomputed {shown[1]}"
     return f"{name} matches line for line, but its line endings or final newline differ"
 
 
-def _load(out: Path, name: str, read: Callable[[Path], Any]) -> tuple[Any, str | None]:
-    """``read(out / name)`` and None, or None and the one message that names
-    why the file could not be read."""
-    try:
-        return read(out / name), None
-    except FileNotFoundError:
-        return None, f"missing artifact: {name}"
-    except OSError as exc:
-        return None, f"artifact {name} unreadable: {exc}"
+def _unreadable(name: str, exc: OSError) -> str:
+    """The message for file ``name`` of a run that could not be read."""
+    return f"missing artifact: {name}" if isinstance(exc, FileNotFoundError) else f"artifact {name} unreadable: {exc}"
 
 
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
-    """Re-check an existing run against the table of files of a fresh
-    execution of its stored configuration.  Each text file (``config.txt``,
-    then ``report.txt``) must hold the bytes of its entry.  Every CSV must
-    parse and hold the recomputed table value for value, bit for bit, and
-    every verdict must pass.  A file that differs gets one message naming
-    its first differing line (for a CSV, against the text ``run`` writes); a
-    file that is missing or cannot be read gets one naming the file, and so
-    does every entry of ``out_dir`` that is not in the table."""
+    """Re-check a run against the table of files of a fresh execution of its
+    stored ``config.txt``, read first: if it is missing, unreadable or does
+    not execute, that is the one message.  Then each entry is checked in
+    order: a text file must hold its entry's bytes, a CSV parse to its table
+    bit for bit.  A file that differs gets one message naming its first
+    differing line (for a CSV, against the text ``run`` writes), a missing or
+    unreadable file one naming it, and so does each entry of ``out_dir``
+    outside the table.  Every verdict must pass."""
     out = Path(out_dir)
-    stored = {}
-    for name in ("report.txt", "config.txt"):
-        stored[name], fault = _load(out, name, Path.read_bytes)
-        if fault is not None:
-            return False, [fault]
     try:
-        cfg = ScenarioConfig.from_mapping(parse_config_text(stored["config.txt"].decode(errors="replace")))
-        fresh, files = execute_scenario(cfg)
+        stored = (out / "config.txt").read_bytes()
+    except OSError as exc:
+        return False, [_unreadable("config.txt", exc)]
+    try:
+        fresh, files = execute_scenario(ScenarioConfig.from_mapping(parse_config_text(stored.decode(errors="replace"))))
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
 
-    texts = [_text_divergence(name, stored[name], data) for name, (kind, data) in files.items() if kind == "text"]
-    messages = [message for message in texts if message is not None]
-
     def check(name: str, kind: str, data: Any) -> str | None:
         try:
-            parsed, fault = _load(out, name, getattr(sigio, f"read_{kind}_csv"))  # on the module, as in run_scenario
-        except ValueError:  # malformed: its first differing line, below, says where
-            parsed, fault = None, None
-        columns = sigio.columns(kind, data).items()
-        if fault or (parsed is not None and all(np.array_equal(_bits(parsed[c]), _bits(v)) for c, v in columns)):
-            return fault
-        stored_csv, fault = _load(out, name, Path.read_bytes)
-        return fault or _text_divergence(name, stored_csv, sigio.csv_text(kind, data))
+            if kind != "text":
+                with contextlib.suppress(ValueError):  # malformed: its first differing line, below, says where
+                    parsed = getattr(sigio, f"read_{kind}_csv")(out / name)  # on the module, as in run_scenario
+                    columns = zip(parsed.values(), sigio.SCHEMAS[kind].columns(data))  # in header order
+                    if all(np.array_equal(_bits(a), _bits(b)) for a, b in columns):
+                        return None
+                data = sigio.csv_text(kind, data)  # a CSV that fails is compared as the text run writes
+            return _text_divergence(name, (out / name).read_bytes(), data)
+        except OSError as exc:
+            return _unreadable(name, exc)
 
-    checks = list(split([partial(check, name, kind, data) for name, (kind, data) in files.items() if kind != "text"]))
-    messages.extend(message for message in checks if message is not None)
+    texts = [check(name, kind, data) for name, (kind, data) in files.items() if kind == "text"]
+    csvs = split([partial(check, name, kind, data) for name, (kind, data) in files.items() if kind != "text"])
+    messages = [message for message in (*texts, *csvs) if message is not None]
     undeclared = sorted(p.name for p in out.iterdir() if p.name not in files)
     messages.extend(f"undeclared file: {name}" for name in undeclared)
     messages.extend(f"verdict {v.name} is failing" for v in fresh.verdicts if not v.passed)

@@ -64,12 +64,6 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def columns(kind: str, data: Any) -> dict[str, np.ndarray]:
-    """The columns an artifact of ``kind`` holds for ``data``, by header name."""
-    schema = SCHEMAS[kind]
-    return dict(zip(schema.names, schema.columns(data)))
-
-
 def csv_text(kind: str, data: Any, lo: int = 0, hi: int | None = None) -> str:
     """Rows ``lo`` up to ``hi`` of the artifact of ``kind`` for ``data``, the
     header first only where ``lo`` is 0.  Each row formats on its own, so

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carrierlab
@@ -253,7 +254,7 @@ class TestScenarioRuns:
             "        if kind == 'text':\n"
             "            chunks = [data.encode()]\n"
             "        else:\n"
-            "            chunks = [c.tobytes() for c in sigio.columns(kind, data).values()]\n"
+            "            chunks = [c.tobytes() for c in sigio.SCHEMAS[kind].columns(data)]\n"
             "        print(name, hashlib.sha256(b''.join(chunks)).hexdigest())\n"
         )
         src = str(Path(carrierlab.__file__).parents[1])
@@ -603,10 +604,32 @@ class TestVerifyRun:
         ok, messages = verify_run(fig9_run)
         assert not ok
 
-    def test_missing_report_detected(self, tmp_path):
+    def test_empty_directory_names_its_config(self, tmp_path):
+        # config.txt is the one file read before the run is re-executed
         ok, messages = verify_run(tmp_path)
         assert not ok
+        assert messages == ["missing artifact: config.txt"]
+
+    def test_missing_report_detected(self, fig9_run):
+        (fig9_run / "report.txt").unlink()
+        ok, messages = verify_run(fig9_run)
+        assert not ok
         assert messages == ["missing artifact: report.txt"]
+
+    def test_missing_report_does_not_end_the_check(self, fig9_run):
+        # report.txt's message comes in its place, before those of the CSVs
+        (fig9_run / "report.txt").unlink()
+        path = fig9_run / "spectrum_baseband.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[1] = repr(float(cells[1]) + 1.0)
+        lines[1] = ",".join(cells)
+        path.write_text("".join(lines))
+        ok, messages = verify_run(fig9_run)
+        assert not ok
+        assert messages[0] == "missing artifact: report.txt"
+        assert messages[1].startswith(f"spectrum_baseband.csv line 2: stored {lines[1][:-1]!r}, recomputed "), messages
+        assert len(messages) == 2, messages
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_untouched_run_verifies(self, tmp_path, scenario):
@@ -686,6 +709,24 @@ class TestVerifyRun:
             "report.txt line 4: stored 'artifact: spectrum_modulated.csv', "
             "recomputed 'artifact: spectrum_baseband.csv'"
         ), messages
+
+    def test_failing_scan_holds_no_line_lists(self):
+        # a failing verify of a 2^20-sample run compares texts of 2^20 lines;
+        # they are read a line at a time, so the peak is about the one copy
+        # that encoding the fresh text makes, not a list of every line
+        rng = np.random.default_rng(3)
+        n = 1 << 17
+        fresh = sigio.csv_text("signal", signals.ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0))
+        last = fresh.rindex(",") + 1
+        stored = (fresh[:last] + "1" + fresh[last:]).encode()
+        tracemalloc.start()
+        try:
+            message = scenarios._text_divergence("signal.csv", stored, fresh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert message.startswith(f"signal.csv line {n + 1}: stored '{n - 1},"), message
+        assert peak < 2 * len(stored), (peak, len(stored))
 
 
 def _verify_output(out, capsys):
@@ -883,6 +924,8 @@ class TestVerifyIsExact:
         assert code == 1
         assert printed == [f"{name} {expected(fresh)}", "verify: fail"]
 
+    # CARRIERLAB_FUZZ_EXAMPLES=N draws N edits instead of hypothesis's default 100
+    @settings(max_examples=int(os.environ.get("CARRIERLAB_FUZZ_EXAMPLES") or 100))
     @given(
         scenario=st.sampled_from(["fig9", "polarization"]),
         file=st.integers(0, 2),
@@ -891,9 +934,10 @@ class TestVerifyIsExact:
         col=st.integers(0, 64),
         byte=st.sampled_from(b"0123456789.-e,\n\r\x0c +") | st.integers(0, 255),
     )
-    # a form feed or a "\r" inserted before a "\n", a "\n" swapped for a
-    # "\r", the final newline deleted, and a "\n" or a digit appended
+    # a form feed, a "\r" or a "\n" inserted before a "\n", a "\n" swapped
+    # for a "\r", the final newline deleted, and a "\n" or a digit appended
     @example(scenario="fig9", file=0, how="insert", line=1, col=64, byte=0x0C)
+    @example(scenario="fig9", file=0, how="insert", line=0, col=64, byte=0x0A)
     @example(scenario="fig9", file=1, how="insert", line=7, col=64, byte=0x0D)
     @example(scenario="polarization", file=0, how="swap", line=5, col=64, byte=0x0D)
     @example(scenario="polarization", file=2, how="delete", line=4096, col=64, byte=0)
@@ -926,7 +970,9 @@ class TestVerifyIsExact:
         if same:
             assert ok and messages == [], messages
         else:
-            at = edited[:p].count(b"\n") + 1
+            # a "\n" inserted before a "\n" leaves its line as it was and adds
+            # an empty line after it
+            at = edited[:p].count(b"\n") + 1 + (how == "insert" and edited[p : p + 2] == b"\n\n")
             assert not ok and len(messages) == 1, messages
             assert messages[0].startswith(f"{name} line {at}: stored ") or messages[0] == (
                 f"{name} matches line for line, but its line endings or final newline differ"
@@ -1012,14 +1058,15 @@ class TestDroppedColumns:
         bins = _recipe_dft(re_, im)
         rebuilt = {"freq_hz": (np.arange(n) - n // 2) * (fs / n), "re": bins.real, "im": bins.imag}
         # the table the spectrum artifact held for this stage before it was dropped
-        for column, values in sigio.columns("spectrum", dft_two_sided(stage(data))).items():
+        schema = sigio.SCHEMAS["spectrum"]
+        for column, values in zip(schema.names, schema.columns(dft_two_sided(stage(data)))):
             assert rebuilt[column].tobytes() == values.tobytes(), column
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_no_spectrum_is_the_dft_of_a_dump(self, scenario):
         _, files = execute_scenario(ScenarioConfig(scenario=scenario, n_samples=4096))
         artifacts = {name: (kind, data) for name, (kind, data) in files.items() if kind != "text"}
-        tables = {name: list(sigio.columns(kind, data).values()) for name, (kind, data) in artifacts.items()}
+        tables = {name: sigio.SCHEMAS[kind].columns(data) for name, (kind, data) in artifacts.items()}
         spectra = {name: tables[name] for name, (kind, _) in artifacts.items() if kind == "spectrum"}
         for dump, (kind, _) in artifacts.items():
             if kind not in ("signal", "pair"):
