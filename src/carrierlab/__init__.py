@@ -8,106 +8,48 @@ positive-band occupancy and energy directly measurable, a polarization
 module embeds complex signals as orthogonal field-component pairs, and a
 scenario runner turns the whole thing into reproducible CSV-backed
 experiments with pass/fail verdicts.
+
+Each public name is loaded from its module on first use, so ``import
+carrierlab`` loads no numpy, and ``carrierlab.cli`` can choose the BLAS
+threads before numpy starts them.
 """
 
-from .complexcarrier import (
-    DualMessage,
-    band_move,
-    complex_demodulate,
-    complex_modulate,
-    dual_demodulate,
-    dual_modulate,
-    evm_db,
-)
-from .filters import MAX_TAPS, FilterSpec, apply_filter, design_lowpass
-from .polarization import (
-    ChannelConfig,
-    Handedness,
-    PolarizedPair,
-    detect_handedness,
-    from_polarized,
-    pair_energy,
-    to_polarized,
-    transmit,
-)
-from .realcarrier import real_demodulate, real_modulate
-from .scenarios import (
-    SCENARIOS,
-    RunReport,
-    ScenarioConfig,
-    Verdict,
-    execute_scenario,
-    run_scenario,
-    verify_run,
-)
-from .signals import (
-    ComplexSignal,
-    Constellation,
-    SymbolStream,
-    add,
-    energy,
-    generate_baseband,
-    multiply,
-    oscillator,
-    real_part,
-)
-from .spectrum import (
-    BandEnergyReport,
-    Spectrum,
-    band_report,
-    conj_mirror_correlation,
-    conj_mirror_error,
-    dft_two_sided,
-    occupied_extent,
-    peak_frequency,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandEnergyReport",
-    "ChannelConfig",
-    "ComplexSignal",
-    "Constellation",
-    "DualMessage",
-    "FilterSpec",
-    "Handedness",
-    "MAX_TAPS",
-    "PolarizedPair",
-    "RunReport",
-    "SCENARIOS",
-    "ScenarioConfig",
-    "Spectrum",
-    "SymbolStream",
-    "Verdict",
-    "add",
-    "apply_filter",
-    "band_move",
-    "band_report",
-    "complex_demodulate",
-    "complex_modulate",
-    "conj_mirror_correlation",
-    "conj_mirror_error",
-    "design_lowpass",
-    "detect_handedness",
-    "dft_two_sided",
-    "dual_demodulate",
-    "dual_modulate",
-    "energy",
-    "evm_db",
-    "execute_scenario",
-    "from_polarized",
-    "generate_baseband",
-    "multiply",
-    "occupied_extent",
-    "oscillator",
-    "pair_energy",
-    "peak_frequency",
-    "real_demodulate",
-    "real_modulate",
-    "real_part",
-    "run_scenario",
-    "to_polarized",
-    "transmit",
-    "verify_run",
-]
+# each module and the names it exports; sigio and _split export none, but
+# resolve as attributes of the package like the others
+_EXPORTS = {
+    "complexcarrier": "DualMessage band_move complex_demodulate complex_modulate dual_demodulate dual_modulate evm_db",
+    "filters": "MAX_TAPS FilterSpec apply_filter design_lowpass",
+    "polarization": (
+        "ChannelConfig Handedness PolarizedPair detect_handedness from_polarized pair_energy to_polarized transmit"
+    ),
+    "realcarrier": "real_demodulate real_modulate",
+    "scenarios": "SCENARIOS RunReport ScenarioConfig Verdict execute_scenario run_scenario verify_run",
+    "signals": "ComplexSignal Constellation SymbolStream add energy generate_baseband multiply oscillator real_part",
+    "spectrum": (
+        "BandEnergyReport Spectrum band_report conj_mirror_correlation conj_mirror_error dft_two_sided "
+        "occupied_extent peak_frequency"
+    ),
+    "sigio": "",
+    "_split": "",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Look ``name`` up in its module on every access, never binding it here,
+    so that a wrapper set on the module is seen through the package too."""
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

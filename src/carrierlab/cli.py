@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+# carrierlab makes no BLAS call, and a BLAS pool gives the process more OS
+# threads than the one from which _split forks its helper: unless the user
+# chose a thread count, numpy starts with one, as the tests and perfbench pin it
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 from .scenarios import (
     SCENARIO_DESCRIPTIONS,

@@ -234,6 +234,69 @@ class TestVerify:
         assert captured.out == ""
 
 
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(script: str, *args: str, **env: str) -> str:
+    """The stdout of ``script`` in a new interpreter whose environment has
+    none of the three BLAS thread counts but those given in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    src = str(Path(carrierlab.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**base, **env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
+class TestBlasThreads:
+    """A CLI process starts numpy with one BLAS thread unless the user set a
+    count, so it has the one OS thread from which the helper forks."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+    @pytest.mark.parametrize(
+        "env, counts",
+        [
+            ({}, ["1", "1", "1"]),
+            ({"OPENBLAS_NUM_THREADS": "2"}, ["None", "2", "None"]),
+            ({"OMP_NUM_THREADS": "2"}, ["2", "None", "None"]),
+        ],
+    )
+    def test_cli_starts_numpy_with_one_blas_thread_by_default(self, env, counts):
+        script = (
+            "import os, sys\n"
+            "import carrierlab\n"
+            "assert 'numpy' not in sys.modules, 'import carrierlab loaded numpy'\n"
+            "from carrierlab import cli\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            f"print(*(os.environ.get(var) for var in {_BLAS_THREADS!r}))\n"
+        )
+        threads, values = _fresh_python(script, **env).splitlines()
+        assert values.split() == counts
+        if not env:
+            assert threads == "1"
+
+    def test_default_cli_process_forks_the_helper(self, tmp_path):
+        script = (
+            "import os, sys\n"
+            "forks = []\n"
+            "real_fork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "from carrierlab import _split, cli\n"
+            "_split._idle_cpu = lambda: True\n"
+            "out = sys.argv[1]\n"
+            "run = cli.main(['run', '--scenario', 'group_laws', '--n-samples', '4096', '--out', out])\n"
+            "verify = cli.main(['verify', '--out', out])\n"
+            "print(run, verify, len(forks))\n"
+        )
+        run, verify, forks = _fresh_python(script, str(tmp_path / "group_laws")).splitlines()[-1].split()
+        assert (run, verify) == ("0", "0")
+        assert int(forks) >= 1
+
+
 _DEFAULTS = ScenarioConfig()
 #: malformed, non-finite, overflowing, or out of range for most fields
 _UNUSABLE = ["-1", "0", "1e-320", "1e308", "nan", "-inf", "", "abc"]
