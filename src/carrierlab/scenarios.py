@@ -672,15 +672,39 @@ def _unreadable(name: str, exc: OSError) -> str:
     return f"missing artifact: {name}" if isinstance(exc, FileNotFoundError) else f"artifact {name} unreadable: {exc}"
 
 
+def _csv_half(path: Path, kind: str, data: Any, second: bool) -> int | None:
+    """The row of the table of ``kind`` for ``data`` at which the CSV at
+    ``path`` is cut, as its first half (rows before the cut) or, with
+    ``second``, its second half (the table's rows less those after it) puts
+    it, if the half parses to the bits of the table's first, or last, rows;
+    else None, also for a file that cannot be read.  The cut follows the
+    first ``\n`` at or after the file's middle byte, and each half is read on
+    its own."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(fh.seek(0, io.SEEK_END) // 2)
+            cut = fh.tell() + len(fh.readline())
+            fh.seek(cut if second else 0)
+            # on the module, as in run_scenario
+            rows = sigio.parse_rows(kind, fh.read() if second else fh.read(cut), header=not second)
+    except (OSError, ValueError):
+        return None
+    columns = sigio.SCHEMAS[kind].columns(data)  # in header order
+    at = len(columns[0]) - len(rows) if second else len(rows)
+    span = slice(at, None) if second else slice(at)
+    return at if all(np.array_equal(_bits(a), _bits(b[span])) for a, b in zip(rows.T, columns)) else None
+
+
 def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     """Re-check a run against the table of files of a fresh execution of its
     stored ``config.txt``, read first: if it is missing, unreadable or does
     not execute, that is the one message.  Then each entry is checked in
     order: a text file must hold its entry's bytes, a CSV parse to its table
-    bit for bit.  A file that differs gets one message naming its first
-    differing line (for a CSV, against the text ``run`` writes), a missing or
-    unreadable file one naming it, and so does each entry of ``out_dir``
-    outside the table.  Every verdict must pass."""
+    bit for bit, its two halves (``_csv_half``) each in one ``split`` task,
+    so the helper checks every second half.  A file that differs gets one
+    message naming its first differing line (for a CSV, against the text
+    ``run`` writes), a missing or unreadable file one naming it, and so does
+    each entry of ``out_dir`` outside the table.  Every verdict must pass."""
     out = Path(out_dir)
     try:
         stored = (out / "config.txt").read_bytes()
@@ -691,22 +715,23 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
 
-    def check(name: str, kind: str, data: Any) -> str | None:
+    def divergence(name: str, text: str) -> str | None:
         try:
-            if kind != "text":
-                with contextlib.suppress(ValueError):  # malformed: its first differing line, below, says where
-                    parsed = getattr(sigio, f"read_{kind}_csv")(out / name)  # on the module, as in run_scenario
-                    columns = zip(parsed.values(), sigio.SCHEMAS[kind].columns(data))  # in header order
-                    if all(np.array_equal(_bits(a), _bits(b)) for a, b in columns):
-                        return None
-                data = sigio.csv_text(kind, data)  # a CSV that fails is compared as the text run writes
-            return _text_divergence(name, (out / name).read_bytes(), data)
+            return _text_divergence(name, (out / name).read_bytes(), text)
         except OSError as exc:
             return _unreadable(name, exc)
 
-    texts = [check(name, kind, data) for name, (kind, data) in files.items() if kind == "text"]
-    csvs = split([partial(check, name, kind, data) for name, (kind, data) in files.items() if kind != "text"])
-    messages = [message for message in (*texts, *csvs) if message is not None]
+    messages = [divergence(name, data) for name, (kind, data) in files.items() if kind == "text"]
+    csvs = {name: entry for name, entry in files.items() if entry[0] != "text"}
+    # each CSV's two halves, in artifact order, as run_scenario formats them
+    halves = [partial(_csv_half, out / name, *entry, half) for name, entry in csvs.items() for half in (False, True)]
+    with contextlib.closing(split(halves)) as counts:
+        for name, (kind, data) in csvs.items():
+            first, second = islice(counts, 2)  # the two halves must meet at one row
+            if first is None or first != second:
+                # a CSV that fails is compared as the text run writes
+                messages.append(divergence(name, sigio.csv_text(kind, data)))
+    messages = [message for message in messages if message is not None]
     undeclared = sorted(p.name for p in out.iterdir() if p.name not in files)
     messages.extend(f"undeclared file: {name}" for name in undeclared)
     messages.extend(f"verdict {v.name} is failing" for v in fresh.verdicts if not v.passed)

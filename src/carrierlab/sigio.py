@@ -12,10 +12,13 @@ artifact that another artifact of the run and ``config.txt`` determine (the
 spectrum of a signal or pair it dumps); README.md gives the formulas that
 rebuild them.
 
-Reading checks the bytes (the header, at least one row, every line ended
-by ``\n``, no ``\r``, no blank line, no whitespace and no value that
-starts with ``+``) and parses them with one ``np.loadtxt``; a file that
-fails raises one ``ValueError``, ``malformed <kind> CSV``.
+Reading checks the bytes (the header, every line ended by ``\n``, no
+``\r``, no blank line, no whitespace and no value that starts with ``+``)
+and parses them with one ``np.loadtxt``; bytes that fail raise one
+``ValueError``, ``malformed <kind> CSV``.  ``parse_rows`` reads a piece of
+a file: its start, header included, or whole lines after it, so that
+``verify`` parses a CSV's two halves in two processes; a piece may hold no
+row, and a whole file read by ``read_<kind>_csv`` at least one.
 """
 
 from __future__ import annotations
@@ -94,29 +97,44 @@ def taps_csv_text(taps: np.ndarray) -> str:
     return csv_text("taps", taps)
 
 
-def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
-    """Parse an artifact of ``kind`` into its columns, by header name; a file
-    that is no table ``run`` could write raises ``ValueError``."""
+def parse_rows(kind: str, piece: bytes, header: bool = True) -> np.ndarray:
+    """The rows of ``piece`` as one float64 array, one column per header name:
+    with ``header``, the bytes of an artifact of ``kind`` from its start,
+    else whole lines from after its header.  A piece may hold no row.  Bytes
+    that ``run`` could not have written there raise ``ValueError``."""
     schema = SCHEMAS[kind]
-    data = Path(path).read_bytes()
-    head = schema.header.encode() + b"\n"
+    head = schema.header.encode() + b"\n" if header else b""
     # loadtxt skips blank lines, ends a row at "\r", takes a last row without
     # its "\n" and strips whitespace and a leading "+" from a value, so the
-    # bytes are checked for those first; only a file holding a "+" is searched
-    # for the pairs, whose "," and "\n" are frequent.  A blank line shows as
-    # one row fewer than the "\n"s after the header; a body that starts with
-    # one is rejected first, as loadtxt warns on a body of blank lines alone
-    framed = data.startswith(head) and data[len(head) : len(head) + 1] not in (b"", b"\n") and data.endswith(b"\n")
-    spelled = not any(b in data for b in _SPACES) and not (b"+" in data and (b",+" in data or b"\n+" in data))
-    if framed and spelled and b"\r" not in data:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+    # bytes are checked for those first; only a piece holding a "+" is
+    # searched for the pairs, whose "," and "\n" are frequent, and a piece
+    # without a header follows a "\n".  A blank line shows as one row fewer
+    # than the "\n"s after the header; a body that starts with one is
+    # rejected first, as loadtxt warns on a body of blank lines alone
+    first = piece[len(head) : len(head) + 1]  # of the body; b"" where it is empty
+    framed = piece.startswith(head) and first != b"\n" and (piece.endswith(b"\n") or not piece)
+    plus = b"+" in piece and (b",+" in piece or b"\n+" in piece or piece.startswith(b"+"))
+    spelled = not any(b in piece for b in _SPACES) and not plus
+    if framed and spelled and b"\r" not in piece:
+        if not first:
+            return np.empty((0, len(schema.names)))
+        text = io.TextIOWrapper(io.BytesIO(piece), encoding="ascii")
         try:
-            rows = np.loadtxt(text, delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=np.float64)
+            rows = np.loadtxt(text, delimiter=",", comments=None, skiprows=int(header), ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"malformed {kind} CSV") from exc
-        if rows.shape == (data.count(b"\n") - 1, len(schema.names)):
-            return dict(zip(schema.names, rows.T))
+        if rows.shape == (piece.count(b"\n") - header, len(schema.names)):
+            return rows
     raise ValueError(f"malformed {kind} CSV")
+
+
+def _read_table(kind: str, path: Path) -> dict[str, np.ndarray]:
+    """Parse an artifact of ``kind`` into its columns, by header name; a file
+    that is no table ``run`` could write, one row at least, raises ``ValueError``."""
+    rows = parse_rows(kind, Path(path).read_bytes())
+    if not len(rows):
+        raise ValueError(f"malformed {kind} CSV")
+    return dict(zip(SCHEMAS[kind].names, rows.T))
 
 
 def read_signal_csv(path: Path) -> dict[str, np.ndarray]:

@@ -129,6 +129,16 @@ class TestPieces:
         assert pieces[0].startswith(header)
         assert not any(piece.startswith(header) for piece in pieces[1:])
         assert all(piece.endswith("\n") for piece in pieces if piece)
+        # each piece parses on its own, the header on the first alone, to
+        # the file's rows; a last piece cut at row n holds none
+        rows = [sigio.parse_rows(kind, piece.encode(), header=not i) for i, piece in enumerate(pieces)]
+        assert np.concatenate(rows).tobytes() == sigio.parse_rows(kind, "".join(pieces).encode()).tobytes()
+
+    # a blank line, a leading "+", no final "\n", whitespace, a header
+    @pytest.mark.parametrize("piece", [b"\n0,1.0,2.0\n", b"+0,1.0,2.0\n", b"0,1.0,2.0", b" 0,1.0,2.0\n", b"index,re,im\n"])
+    def test_headerless_piece_checked_as_after_a_newline(self, piece):
+        with pytest.raises(ValueError, match="^malformed signal CSV$"):
+            sigio.parse_rows("signal", piece, header=False)
 
 
 def test_readme_lists_the_schema_headers():

@@ -265,18 +265,19 @@ class TestSplitRuns:
         assert_no_child_left()
 
     def test_verify_whose_helper_dies_exits_2(self, tmp_path, capsys, forks, monkeypatch):
-        # fig9's verify helper reads spectrum_modulated.csv, and dies there
+        # fig9's verify helper parses the second half of spectrum_baseband.csv,
+        # and dies there
         out = tmp_path / "fig9"
         run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), out)
         parent = os.getpid()
-        read = sigio.read_spectrum_csv
+        parse = sigio.parse_rows
 
-        def dying(path):
+        def dying(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
-            return read(path)
+            return parse(*args, **kwargs)
 
-        monkeypatch.setattr(sigio, "read_spectrum_csv", dying)
+        monkeypatch.setattr(sigio, "parse_rows", dying)
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -333,6 +334,74 @@ class TestSplitRuns:
         monkeypatch.setattr(sigio, "csv_text", text)
         monkeypatch.setattr(_split, "_idle_cpu", lambda: False)
         assert verify_run(out) == (True, [])
+
+    def test_verify_checks_each_csv_in_two_row_halves(self, tmp_path, forks, monkeypatch):
+        # fig5 at 4096 samples: each CSV is cut after the first "\n" at or
+        # after its middle byte; the caller parses every first half, the
+        # helper every second, and the halves' rows add up to the table's
+        out = tmp_path / "fig5"
+        run_scenario(ScenarioConfig(scenario="fig5", n_samples=4096), out)
+        log = tmp_path / "parsed.log"
+        parse = sigio.parse_rows
+
+        def recording(kind, piece, header=True):
+            rows = parse(kind, piece, header)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {kind} {header} {len(rows)}\n")
+            return rows
+
+        monkeypatch.setattr(sigio, "parse_rows", recording)
+        assert verify_run(out) == (True, [])
+        assert forks == [1, 1]
+        assert_no_child_left()
+        parsed = {}
+        for line in log.read_text().splitlines():
+            pid, kind, header, rows = line.split()
+            parsed.setdefault(int(pid) == os.getpid(), []).append((kind, header == "True", int(rows)))
+        names = ["spectrum_passband.csv", "spectrum_mixed_prefilter.csv", "signal_recovered.csv", "filter_taps.csv"]
+        kinds = ["spectrum", "spectrum", "signal", "taps"]
+        firsts = []
+        for name in names:
+            stored = (out / name).read_bytes()
+            firsts.append(stored[: stored.index(b"\n", len(stored) // 2) + 1].count(b"\n") - 1)
+        assert parsed[True] == [(kind, True, n) for kind, n in zip(kinds, firsts)]
+        assert parsed[False] == [(kind, False, rows - n) for kind, n, rows in zip(kinds, firsts, [4096] * 3 + [119])]
+
+    @pytest.mark.parametrize(
+        "edit", ["blank line at the cut", "one row", "9", "+", "row after the cut dropped", "first half"]
+    )
+    def test_verify_where_the_cut_matters(self, edit, tmp_path, forks, monkeypatch):
+        # each edit to fig9's spectrum_modulated.csv gets the one message that
+        # reading the whole file gives: its first differing line
+        out = tmp_path / "fig9"
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), out)
+        path = out / "spectrum_modulated.csv"
+        stored = path.read_bytes()
+        cut = stored.index(b"\n", len(stored) // 2) + 1
+        lines = stored.decode().split("\n")
+        at = stored[:cut].count(b"\n")  # the last line before the cut, counted from 1
+        if edit == "blank line at the cut":
+            path.write_bytes(stored[:cut] + b"\n" + stored[cut:])
+            want = f"line {at + 1}: stored '', recomputed {lines[at]!r}"
+        elif edit == "one row":
+            path.write_bytes(b"freq_hz,re,im\n0.0,0.0,0.0\n")  # 26 bytes, the middle one the header's "\n"
+            want = f"line 2: stored '0.0,0.0,0.0', recomputed {lines[1]!r}"
+        elif edit in ("9", "+"):  # before the first row after the cut; a "+" parses to the same double
+            path.write_bytes(stored[:cut] + edit.encode() + stored[cut:])
+            want = f"line {at + 1}: stored {edit + lines[at]!r}, recomputed {lines[at]!r}"
+        elif edit == "row after the cut dropped":
+            # the cut stays put, so each half holds rows of the table; only
+            # the row at which each puts the cut tells that one is missing
+            path.write_bytes(stored[:cut] + stored[stored.index(b"\n", cut) + 1 :])
+            want = f"line {at + 1}: stored {lines[at + 1]!r}, recomputed {lines[at]!r}"
+        else:
+            path.write_bytes(stored[:cut])
+            want = f"line {at + 1}: stored nothing, recomputed {lines[at]!r}"
+        forked = verify_run(out)
+        monkeypatch.setattr(_split, "_idle_cpu", lambda: False)
+        assert forked == verify_run(out) == (False, [f"spectrum_modulated.csv {want}"])
+        assert forks == [1, 1]  # the run's writes, then the forked verify
+        assert_no_child_left()
 
     def test_verify_messages_keep_artifact_order(self, tmp_path, forks, monkeypatch):
         out = tmp_path / "fig9"
