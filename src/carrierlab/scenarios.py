@@ -19,9 +19,10 @@ import contextlib
 import hashlib
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 from typing import Any, get_type_hints
 
@@ -646,25 +647,30 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-def _text_divergence(name: str, stored: bytes, fresh: str) -> str | None:
-    """None when ``stored``, the bytes of file ``name``, are those of
-    ``fresh``; else the message naming its first line that differs, with
-    both texts, or, when every line matches, saying that the line endings or
-    the final newline differ.  A line ends at ``\n``, the one line break
-    ``run`` writes, or at ``\r\n``; the texts are read a line at a time."""
-    want = fresh.encode()
-    if stored == want:
-        return None
-    # the empty text is one empty line, as "\n" is
-    streams = io.BytesIO(stored.replace(b"\r\n", b"\n") or b"\n"), io.BytesIO(want)
-    for i, (line, wanted) in enumerate(zip_longest(*streams), start=1):
-        if line != wanted:  # by their bytes, then without a final "\n"
-            line, wanted = (None if t is None else t.removesuffix(b"\n") for t in (line, wanted))
-        if line != wanted:
-            # undecodable bytes become U+FFFD, which no fresh line contains
-            shown = ["nothing" if t is None else repr(t.decode(errors="replace")) for t in (line, wanted)]
-            return f"{name} line {i}: stored {shown[0]}, recomputed {shown[1]}"
-    return f"{name} matches line for line, but its line endings or final newline differ"
+def _text_divergence(path: Path, fresh: Iterable[str]) -> str | None:
+    """None when the file at ``path`` holds the text whose pieces, each of
+    whole lines, are ``fresh``; else one message naming the file missing or
+    unreadable, or its first line that differs, with both texts, or saying that
+    only its line endings or final newline differ.  A line ends at ``\n``, as
+    ``run`` writes, or ``\r\n``; both are read a line at a time, up to there."""
+    wanted_lines = chain.from_iterable(io.BytesIO(piece.encode()) for piece in fresh)
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            exact = bool(first)  # the bytes so far are the same
+            # the empty file is one empty line, as "\n" is
+            for i, (line, wanted) in enumerate(zip_longest(chain([first or b"\n"], fh), wanted_lines), start=1):
+                if line != wanted:  # by their bytes, then reading "\r\n" as "\n" and without a final "\n"
+                    exact = False
+                    line = None if line is None else line.replace(b"\r\n", b"\n").removesuffix(b"\n")
+                    wanted = None if wanted is None else wanted.removesuffix(b"\n")
+                if line != wanted:
+                    # undecodable bytes become U+FFFD, which no fresh line contains
+                    shown = ["nothing" if t is None else repr(t.decode(errors="replace")) for t in (line, wanted)]
+                    return f"{path.name} line {i}: stored {shown[0]}, recomputed {shown[1]}"
+    except OSError as exc:
+        return _unreadable(path.name, exc)
+    return None if exact else f"{path.name} matches line for line, but its line endings or final newline differ"
 
 
 def _unreadable(name: str, exc: OSError) -> str:
@@ -701,10 +707,10 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
     not execute, that is the one message.  Then each entry is checked in
     order: a text file must hold its entry's bytes, a CSV parse to its table
     bit for bit, its two halves (``_csv_half``) each in one ``split`` task,
-    so the helper checks every second half.  A file that differs gets one
-    message naming its first differing line (for a CSV, against the text
-    ``run`` writes), a missing or unreadable file one naming it, and so does
-    each entry of ``out_dir`` outside the table.  Every verdict must pass."""
+    so the helper checks every second half.  A file that differs, missing or
+    unreadable gets ``_text_divergence``'s one message, read only up to its
+    first differing line (a CSV against ``run``'s text, a block at a time);
+    each entry of ``out_dir`` outside the table is named.  Every verdict must pass."""
     out = Path(out_dir)
     try:
         stored = (out / "config.txt").read_bytes()
@@ -714,14 +720,7 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         fresh, files = execute_scenario(ScenarioConfig.from_mapping(parse_config_text(stored.decode(errors="replace"))))
     except ValueError as exc:
         return False, [f"stored configuration does not execute: {exc}"]
-
-    def divergence(name: str, text: str) -> str | None:
-        try:
-            return _text_divergence(name, (out / name).read_bytes(), text)
-        except OSError as exc:
-            return _unreadable(name, exc)
-
-    messages = [divergence(name, data) for name, (kind, data) in files.items() if kind == "text"]
+    messages = [_text_divergence(out / name, [data]) for name, (kind, data) in files.items() if kind == "text"]
     csvs = {name: entry for name, entry in files.items() if entry[0] != "text"}
     # each CSV's two halves, in artifact order, as run_scenario formats them
     halves = [partial(_csv_half, out / name, *entry, half) for name, entry in csvs.items() for half in (False, True)]
@@ -729,8 +728,8 @@ def verify_run(out_dir: Path) -> tuple[bool, list[str]]:
         for name, (kind, data) in csvs.items():
             first, second = islice(counts, 2)  # the two halves must meet at one row
             if first is None or first != second:
-                # a CSV that fails is compared as the text run writes
-                messages.append(divergence(name, sigio.csv_text(kind, data)))
+                # a CSV that fails is compared with the text run writes, a block at a time
+                messages.append(_text_divergence(out / name, sigio.csv_blocks(kind, data)))
     messages = [message for message in messages if message is not None]
     undeclared = sorted(p.name for p in out.iterdir() if p.name not in files)
     messages.extend(f"undeclared file: {name}" for name in undeclared)

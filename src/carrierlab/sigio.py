@@ -24,7 +24,7 @@ row, and a whole file read by ``read_<kind>_csv`` at least one.
 from __future__ import annotations
 
 import io
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -67,18 +67,23 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def csv_text(kind: str, data: Any, lo: int = 0, hi: int | None = None) -> str:
+def csv_blocks(kind: str, data: Any, lo: int = 0, hi: int | None = None) -> Iterator[str]:
     """Rows ``lo`` up to ``hi`` of the artifact of ``kind`` for ``data``, the
-    header first only where ``lo`` is 0.  Each row formats on its own, so
-    pieces cut anywhere join to the bytes of the whole file."""
+    header first where ``lo`` is 0, then ``BLOCK_ROWS`` rows a piece, formatted
+    when asked for.  Each row formats on its own, so pieces cut anywhere join."""
     schema = SCHEMAS[kind]
     cols = [col[lo:hi] for col in schema.columns(data)]
-    chunks = [schema.header + "\n"] if lo == 0 else []
+    if lo == 0:
+        yield schema.header + "\n"
     for start in range(0, len(cols[0]), BLOCK_ROWS):
         # tolist() yields Python ints and floats, whose repr is the file format
         cells = [map(repr, col[start : start + BLOCK_ROWS].tolist()) for col in cols]
-        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(chunks)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def csv_text(kind: str, data: Any, lo: int = 0, hi: int | None = None) -> str:
+    """The pieces of ``csv_blocks`` as one text."""
+    return "".join(csv_blocks(kind, data, lo, hi))
 
 
 def signal_csv_text(s: ComplexSignal) -> str:

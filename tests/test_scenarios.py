@@ -710,23 +710,75 @@ class TestVerifyRun:
             "recomputed 'artifact: spectrum_baseband.csv'"
         ), messages
 
-    def test_failing_scan_holds_no_line_lists(self):
+    def test_failing_scan_holds_no_line_lists(self, tmp_path):
         # a failing verify of a 2^20-sample run compares texts of 2^20 lines;
-        # they are read a line at a time, so the peak is about the one copy
-        # that encoding the fresh text makes, not a list of every line
+        # the stored file is read and the fresh one formatted a line or a
+        # block at a time, so the peak is far below one copy of either text
         rng = np.random.default_rng(3)
         n = 1 << 17
-        fresh = sigio.csv_text("signal", signals.ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0))
+        table = signals.ComplexSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0)
+        fresh = sigio.csv_text("signal", table)
         last = fresh.rindex(",") + 1
-        stored = (fresh[:last] + "1" + fresh[last:]).encode()
+        path = tmp_path / "signal.csv"
+        path.write_text(fresh[:last] + "1" + fresh[last:])
+        stored = path.stat().st_size
+        del fresh
         tracemalloc.start()
         try:
-            message = scenarios._text_divergence("signal.csv", stored, fresh)
+            message = scenarios._text_divergence(path, sigio.csv_blocks("signal", table))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert message.startswith(f"signal.csv line {n + 1}: stored '{n - 1},"), message
-        assert peak < 2 * len(stored), (peak, len(stored))
+        assert peak < stored // 4, (peak, stored)
+
+    @pytest.fixture()
+    def fig9_failing_csv(self, tmp_path, no_idle_cpu):
+        """A fig9 run at 2^14 samples, with the helper off, and its
+        ``signal_demodulated.csv``'s path and bytes, one line per row."""
+        run_scenario(ScenarioConfig(scenario="fig9", n_samples=1 << 14), tmp_path)
+        path = tmp_path / "signal_demodulated.csv"
+        return tmp_path, path, path.read_bytes()
+
+    def test_failing_verify_holds_no_copy_of_the_file(self, fig9_failing_csv):
+        # one digit added to the last line: the comparison of the failing CSV
+        # adds less than a quarter of the file to the peak of an intact verify
+        out, path, data = fig9_failing_csv
+
+        def peak() -> tuple[int, list[str]]:
+            tracemalloc.start()
+            try:
+                ok, messages = verify_run(out)
+                return tracemalloc.get_traced_memory()[1], messages
+            finally:
+                tracemalloc.stop()
+
+        intact, messages = peak()
+        assert messages == []
+        last = data.rindex(b",") + 1
+        path.write_bytes(data[:last] + b"1" + data[last:])
+        failing, messages = peak()
+        assert messages[0].startswith(f"{path.name} line {(1 << 14) + 1}: stored "), messages
+        assert failing - intact < len(data) / 4, (failing, intact, len(data))
+
+    def test_failing_csv_formatted_only_to_its_first_differing_line(self, fig9_failing_csv, monkeypatch):
+        # one byte of line 3 changed: of the 2^14 rows, the fallback formats
+        # the block that holds it and at most one more
+        out, path, data = fig9_failing_csv
+        third = data.index(b"\n", data.index(b"\n") + 1) + 1
+        path.write_bytes(data[:third] + b"9" + data[third + 1 :])
+        rows = []
+        blocks = sigio.csv_blocks
+
+        def counting(kind, data, lo=0, hi=None):
+            for piece in blocks(kind, data, lo, hi):
+                rows.append(piece.count("\n") - piece.startswith(sigio.SCHEMAS[kind].header))
+                yield piece
+
+        monkeypatch.setattr(sigio, "csv_blocks", counting)
+        ok, messages = verify_run(out)
+        assert not ok and messages[0].startswith(f"{path.name} line 3: stored '9"), messages
+        assert 0 < sum(rows) <= 2 * sigio.BLOCK_ROWS, rows
 
 
 def _verify_output(out, capsys):
@@ -740,6 +792,32 @@ def _blank_line_at_row(data: bytes, row: int) -> bytes:
     lines = data.split(b"\n")
     lines.insert(row, b"")
     return b"\n".join(lines)
+
+
+def _whole_file_edits(name: str, first: str, second: str, end: int) -> list:
+    """``test_line_endings_edited``'s cases that edit file ``name`` of a fig9
+    run as a whole, where ``first`` and ``second`` are its first two lines
+    and line ``end`` the one after its last."""
+
+    def all_cr(data: bytes) -> str:
+        # no "\n" is left, so the whole file is its one line
+        stored = data.replace(b"\n", b"\r").decode()
+        return f"{name} line 1: stored {stored!r}, recomputed {first!r}"
+
+    cases = {
+        "emptied": (lambda data: b"", f"{name} line 1: stored '', recomputed {first!r}"),
+        "lone-newline": (lambda data: b"\n", f"{name} line 1: stored '', recomputed {first!r}"),
+        "all-cr": (lambda data: data.replace(b"\n", b"\r"), all_cr),
+        "invalid-utf8-appended": (
+            lambda data: data + b"\xff\xfe\n",
+            f"{name} line {end}: stored '\ufffd\ufffd', recomputed nothing",
+        ),
+        "cut-to-header": (
+            lambda data: data[: data.index(b"\n") + 1],
+            f"{name} line 2: stored nothing, recomputed {second!r}",
+        ),
+    }
+    return [pytest.param(name, edit, expected, id=f"{how}-{name}") for how, (edit, expected) in cases.items()]
 
 
 @pytest.fixture(scope="module")
@@ -840,15 +918,33 @@ class TestVerifyIsExact:
                 "recomputed '-31168.0,0.4983359335222344,0.2639538217604035'",
                 id="csv-with-blank-line",
             ),
+            *_whole_file_edits("report.txt", "scenario: fig9", "config_digest: b774d51b5411f3f0", 14),
+            *_whole_file_edits(
+                "spectrum_baseband.csv", "freq_hz,re,im", "-32768.0,0.49943794608205394,0.00856202109247306", 4098
+            ),
+            pytest.param(
+                "report.txt", lambda data: data[: len(data) // 2],
+                "report.txt line 8: stored 'energy.modulated: 0.0581476195', "
+                "recomputed 'energy.modulated: 0.05814761952875417'",
+                id="cut-mid-line-report.txt",
+            ),
+            pytest.param(
+                "spectrum_baseband.csv", lambda data: data[: len(data) // 2],
+                "spectrum_baseband.csv line 2050: stored '0.0,-222.64407367111696', "
+                "recomputed '0.0,-222.64407367111696,-332.5982593066255'",
+                id="cut-mid-line-spectrum_baseband.csv",
+            ),
         ],
     )
     def test_line_endings_edited(self, tmp_path, capsys, name, edit, expected):
+        # also the edits of a whole file, where the empty file is one empty line
         run_scenario(ScenarioConfig(scenario="fig9", n_samples=4096), tmp_path)
         path = tmp_path / name
-        path.write_bytes(edit(path.read_bytes()))
+        data = path.read_bytes()
+        path.write_bytes(edit(data))
         code, printed = _verify_output(tmp_path, capsys)
         assert code == 1
-        assert printed == [expected, "verify: fail"]
+        assert printed == [expected(data) if callable(expected) else expected, "verify: fail"]
 
     @pytest.mark.parametrize(
         "scenario, name, pattern, replacement, expected",
